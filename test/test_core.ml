@@ -258,6 +258,68 @@ let test_optimizer_choices_cover_phases () =
   let phases = List.sort compare (List.map (fun (c : Optimizer.phase_choice) -> c.phase) plan.Optimizer.choices) in
   Alcotest.(check (list int)) "each phase chosen once" [ 0; 1 ] phases
 
+(* ------------------------------------------------------------ plan pins *)
+
+(* Plans recorded from the optimizer as it stood before per-phase Pareto
+   staircases and tabulated local models replaced per-point enumeration
+   (test/fixtures/plan_pins.sexp).  Every rewrite of the pricing path
+   must choose byte-for-byte the same plan: each entry names its model,
+   input, budget and first phase, and is re-solved here and compared as
+   printed text.  One solver per (model, input) serves all of that
+   input's budgets and its suffix solve, as the precompute grid and the
+   controller reuse one. *)
+let pin_models =
+  lazy
+    [
+      ("toy", Lazy.force trained);
+      ("kmeans", Opprox.load ~resolve:Opprox_apps.Registry.find "fixtures/trained_kmeans.sexp");
+    ]
+
+let pin_inputs = function
+  | "toy" -> [ [| 1.5 |]; [| 1.25 |] ]
+  | _ -> [ [| 400.0; 10.0; 3.0 |]; [| 350.0; 9.0; 3.0 |] ]
+
+(* kmeans degrades QoS by tens of percent at its first levels, so its
+   plans stay all-exact below 45 %; the wider budgets pin real choices. *)
+let pin_budgets = function
+  | "toy" -> [ 2.0; 5.0; 10.0; 15.0; 20.0; 30.0 ]
+  | _ -> [ 2.0; 5.0; 10.0; 15.0; 20.0; 30.0; 45.0; 60.0; 80.0; 100.0 ]
+
+let pin_suffix_budget = function "toy" -> 10.0 | _ -> 80.0
+
+(* (model, input, budget, first_phase, printed plan) for every pinned case. *)
+let pinned_plans () =
+  List.concat_map
+    (fun (name, (tr : Opprox.trained)) ->
+      List.concat_map
+        (fun input ->
+          let solve = Optimizer.solver ~models:tr.Opprox.models ~roi:tr.Opprox.roi ~input () in
+          let case ?(first_phase = 0) budget =
+            (name, input, budget, first_phase,
+             Opprox_util.Sexp.to_string (Optimizer.plan_to_sexp (solve ~first_phase ~budget ())))
+          in
+          List.map case (pin_budgets name) @ [ case ~first_phase:1 (pin_suffix_budget name) ])
+        (pin_inputs name))
+    (Lazy.force pin_models)
+
+let test_plans_match_pins () =
+  let module S = Opprox_util.Sexp in
+  let pins = S.to_list (S.load "fixtures/plan_pins.sexp") in
+  let fresh = pinned_plans () in
+  check_int "pinned case count" (List.length pins) (List.length fresh);
+  List.iter2
+    (fun pin (name, input, budget, first_phase, plan) ->
+      let label =
+        Printf.sprintf "%s input=%s budget=%g first_phase=%d" name
+          (S.to_string (S.float_array input)) budget first_phase
+      in
+      Alcotest.(check string) (label ^ " model") (S.to_string_atom (S.field pin "model")) name;
+      Alcotest.(check (array (float 0.0))) (label ^ " input") (S.to_float_array (S.field pin "input")) input;
+      check_float_eps 0.0 (label ^ " budget") (S.to_float (S.field pin "budget")) budget;
+      check_int (label ^ " first_phase") (S.to_int (S.field pin "first_phase")) first_phase;
+      Alcotest.(check string) label (S.to_string (S.field pin "plan")) plan)
+    pins fresh
+
 let prop_roi_allocation_nonnegative =
   qcheck_case "allocations stay nonnegative"
     QCheck.(pair (array_of_size (QCheck.Gen.int_range 1 6) (float_range 0.0 10.0)) (float_range 0.0 50.0))
@@ -433,6 +495,7 @@ let suite =
         Alcotest.test_case "compose speedup" `Quick test_compose_speedup;
         Alcotest.test_case "schedule shape" `Quick test_optimizer_schedule_shape;
         Alcotest.test_case "choices cover phases" `Quick test_optimizer_choices_cover_phases;
+        Alcotest.test_case "plans match pins" `Quick test_plans_match_pins;
         prop_roi_allocation_nonnegative;
         prop_optimizer_feasible_on_random_budgets;
       ] );
