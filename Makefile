@@ -1,6 +1,6 @@
 # Convenience aliases; dune is the build system.
 
-.PHONY: all check test lint stats serve-smoke corpus-smoke pool-smoke conc-smoke control-smoke search-smoke fixtures bench bench-snapshot fmt clean
+.PHONY: all check test lint stats serve-smoke corpus-smoke pool-smoke conc-smoke control-smoke search-smoke perf-smoke fixtures bench bench-snapshot fmt clean
 
 all:
 	dune build @all
@@ -220,6 +220,23 @@ search-smoke:
 	       diff $$DIR/j1.out $$DIR/j4.out; exit 1; }; \
 	echo "search-smoke: bit-identical across --jobs (ok)"; \
 	echo "search-smoke: ok"
+
+# Benchmark smoke test: a short untraced run of the serve-solve and
+# train-plan workloads through the benchmark command (perfbench/run.sh,
+# which builds from source).  Each run's last stdout line is its result
+# object; the step fails unless it reports "correct": true.
+perf-smoke:
+	@set -e; \
+	LOG=$$(mktemp /tmp/opprox-perf-XXXXXX.log); \
+	trap 'rm -f $$LOG' EXIT; \
+	for w in serve-solve train-plan; do \
+	  LAST=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 4 --trace 0 2>$$LOG | tail -n 1); \
+	  case "$$LAST" in \
+	    *'"correct": true'*) echo "perf-smoke: $$w correct (ok)";; \
+	    *) echo "perf-smoke: $$w did not report correct"; echo "$$LAST"; cat $$LOG; exit 1;; \
+	  esac; \
+	done; \
+	echo "perf-smoke: ok"
 
 # Regenerate the committed corruption fixtures under test/fixtures/.
 fixtures:

@@ -173,23 +173,28 @@ let predict t ~input ~phase ~levels =
 (* Compiled per-input predictor: classification, model selection, and
    regression-model compilation happen once; each call reuses the scratch
    feature buffers below.  The arithmetic mirrors [predict] exactly, with
-   one redundancy removed: [predict] evaluates the iteration model three
-   times per query (once directly, once inside each overall feature
-   vector) — here it is evaluated once and the identical float reused. *)
+   two redundancies removed:
+   - [predict] evaluates the iteration model three times per query (once
+     directly, once inside each overall feature vector); here it is
+     evaluated once and the identical float reused.
+   - The local models see one AB's level plus the fixed input, so at
+     compile time they are tabulated per (phase, AB, level) over
+     [0..max_level]; a query then costs the iteration model and the two
+     overall models.  Levels outside the table are evaluated directly. *)
+type compiled_phase = {
+  pm : phase_models;
+  iter_p : float array -> float;
+  local_speedup_p : (float array -> float) array;
+  local_qos_p : (float array -> float) array;
+  local_speedup_tab : float array array; (* AB -> level -> prediction *)
+  local_qos_tab : float array array;
+  overall_speedup_p : float array -> float;
+  overall_qos_p : float array -> float;
+}
+
 let predictor t ~input =
   let n_abs = App.n_abs t.app in
   let n_input = Array.length input in
-  let compiled =
-    Array.map
-      (fun pm ->
-        ( pm,
-          Polyreg.predictor pm.iter_model,
-          Array.map Polyreg.predictor pm.local_speedup,
-          Array.map Polyreg.predictor pm.local_qos,
-          Polyreg.predictor pm.overall_speedup,
-          Polyreg.predictor pm.overall_qos ))
-      (models_for t input)
-  in
   (* Feature layouts match [iter_features] / [local_features] /
      [overall_features]: levels (or one level) first, then the input
      vector, which never changes and is blitted once. *)
@@ -198,31 +203,63 @@ let predictor t ~input =
   let local_feat = Array.make (1 + n_input) 0.0 in
   Array.blit input 0 local_feat 1 n_input;
   let overall_feat = Array.make (n_abs + 1) 0.0 in
+  let tabulate local_p =
+    Array.mapi
+      (fun ab p ->
+        Array.init (t.app.App.abs.(ab).Opprox_sim.Ab.max_level + 1) (fun l ->
+            local_feat.(0) <- float_of_int l;
+            p local_feat))
+      local_p
+  in
+  let compiled =
+    Array.map
+      (fun pm ->
+        let local_speedup_p = Array.map Polyreg.predictor pm.local_speedup in
+        let local_qos_p = Array.map Polyreg.predictor pm.local_qos in
+        {
+          pm;
+          iter_p = Polyreg.predictor pm.iter_model;
+          local_speedup_p;
+          local_qos_p;
+          local_speedup_tab = tabulate local_speedup_p;
+          local_qos_tab = tabulate local_qos_p;
+          overall_speedup_p = Polyreg.predictor pm.overall_speedup;
+          overall_qos_p = Polyreg.predictor pm.overall_qos;
+        })
+      (models_for t input)
+  in
+  (* Each AB's local prediction at its level: the table when it covers
+     the level, else the compiled model.  Written out as a loop so the
+     table hit stays an unboxed load. *)
+  let fill_local table local_p levels =
+    for ab = 0 to n_abs - 1 do
+      let level = levels.(ab) and row = table.(ab) in
+      overall_feat.(ab) <-
+        (if level >= 0 && level < Array.length row then row.(level)
+         else begin
+           local_feat.(0) <- float_of_int level;
+           local_p.(ab) local_feat
+         end)
+    done
+  in
   fun ~phase ~levels ->
     if phase < 0 || phase >= t.n_phases then invalid_arg "Models.predictor: bad phase";
     if Array.length levels <> n_abs then invalid_arg "Models.predictor: bad levels arity";
     if Array.for_all (fun l -> l = 0) levels then
       { speedup = 1.0; qos = 0.0; speedup_lo = 1.0; qos_hi = 0.0; iters_ratio = 1.0 }
     else begin
-      let pm, iter_p, local_speedup_p, local_qos_p, overall_speedup_p, overall_qos_p =
-        compiled.(phase)
-      in
+      let c = compiled.(phase) in
+      let pm = c.pm in
       for i = 0 to n_abs - 1 do
         iter_feat.(i) <- float_of_int levels.(i)
       done;
-      let iters_ratio = iter_p iter_feat in
-      for ab = 0 to n_abs - 1 do
-        local_feat.(0) <- float_of_int levels.(ab);
-        overall_feat.(ab) <- local_speedup_p.(ab) local_feat
-      done;
+      let iters_ratio = c.iter_p iter_feat in
+      fill_local c.local_speedup_tab c.local_speedup_p levels;
       overall_feat.(n_abs) <- iters_ratio;
-      let speedup = overall_speedup_p overall_feat in
-      for ab = 0 to n_abs - 1 do
-        local_feat.(0) <- float_of_int levels.(ab);
-        overall_feat.(ab) <- local_qos_p.(ab) local_feat
-      done;
+      let speedup = c.overall_speedup_p overall_feat in
+      fill_local c.local_qos_tab c.local_qos_p levels;
       overall_feat.(n_abs) <- iters_ratio;
-      let log_q = overall_qos_p overall_feat in
+      let log_q = c.overall_qos_p overall_feat in
       let speedup = Float.max 0.01 speedup in
       {
         speedup;

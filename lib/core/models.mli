@@ -54,11 +54,15 @@ val predictor : t -> input:float array -> phase:int -> levels:int array -> predi
     [(phase, levels)] out of the prediction loop: the control-flow
     classification of [input], model selection, the compiled regression
     closures ({!Opprox_ml.Polyreg.predictor}), and the feature scratch
-    buffers.  The returned closure is bit-identical to {!predict} on
-    every query but allocation-free, which is what the optimizer's
-    per-phase enumeration (≤ thousands of configs × phases × sweeps)
-    wants.  The closure owns mutable scratch: do not share one closure
-    between domains. *)
+    buffers.  The local models depend only on one AB's level and the
+    fixed input, so they are tabulated for every (phase, AB, level) in
+    [0..max_level] at compile time; a query then evaluates the iteration
+    model and the two overall models only (levels outside the table are
+    evaluated directly).  The returned closure is bit-identical to
+    {!predict} on every query, and allocates little beyond the returned
+    record, which is what the optimizer's per-phase pricing
+    (≤ thousands of configs × phases) wants.  The closure owns mutable
+    scratch: do not share one closure between domains. *)
 
 val n_phases : t -> int
 

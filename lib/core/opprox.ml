@@ -2,6 +2,7 @@ module Training = Training
 module Models = Models
 module Roi = Roi
 module Optimizer = Optimizer
+module Frontier = Frontier
 module Oracle = Oracle
 module Phases = Phases
 module Cfmodel = Cfmodel

@@ -62,20 +62,6 @@ let compose_speedup speedups =
   in
   1.0 /. Float.max 0.05 (1.0 -. savings)
 
-(* Exact enumeration of one phase's AL space: keep the configuration with
-   the best conservative speedup whose conservative QoS fits the budget. *)
-let enumerate_phase ~predict ~input ~phase ~budget abs =
-  let best = ref None in
-  List.iter
-    (fun levels ->
-      let p = predict ~input ~phase ~levels in
-      if p.Models.qos_hi <= budget then
-        match !best with
-        | Some (_, best_p) when best_p.Models.speedup_lo >= p.Models.speedup_lo -> ()
-        | _ -> best := Some (levels, p))
-    (Config_space.all abs);
-  !best
-
 (* Greedy coordinate ascent: repeatedly take the single-AB level change
    that most improves conservative speedup while staying within budget. *)
 let greedy_phase ~predict ~input ~phase ~budget abs =
@@ -154,14 +140,37 @@ let solver ?search ?(enumeration_limit = 20000) ?(stochastic = default_stochasti
   let n_phases = Models.n_phases models in
   let abs = app.App.abs in
   (* Compile the prediction pipeline once per {e solver}: classification,
-     model selection, and all regression scratch buffers are hoisted out
-     of the sweep loops (Models.predictor), and a memo on top absorbs the
-     many re-visits of the same (phase, levels) point across sweeps — and,
-     when the solver is reused over a budget grid (the precompute sweep),
-     across budgets: the prediction at a point does not depend on the
-     budget, only admissibility does. *)
+     model selection, local-model tables and all regression scratch
+     buffers are hoisted out of the sweep loops (Models.predictor).  A
+     prediction does not depend on the budget, only admissibility does, so
+     everything priced here serves every sweep and, when the solver is
+     reused over a budget grid (the precompute sweep) or for suffix
+     solves, every budget. *)
   let predict_compiled = Models.predictor models ~input in
-  let cache = Hashtbl.create 4096 in
+  (* Enumerate: each phase's space is priced once, in one mixed-radix
+     pass, into a Pareto staircase that answers any sub-budget. *)
+  let space = Config_space.count abs in
+  let frontiers = Array.make n_phases None in
+  let frontier phase =
+    match frontiers.(phase) with
+    | Some f ->
+        Metrics.add m_predict_hits space;
+        f
+    | None ->
+        Metrics.add m_predict_misses space;
+        let levels = Config_space.zero abs in
+        let price k =
+          if k = 0 then Array.fill levels 0 (Array.length levels) 0
+          else Config_space.advance abs levels;
+          predict_compiled ~phase ~levels
+        in
+        let f = Frontier.build ~n:space price in
+        frontiers.(phase) <- Some f;
+        f
+  in
+  (* Greedy and the stochastic exit price single points; a small memo
+     absorbs their re-visits. *)
+  let cache = Hashtbl.create 16 in
   let predict_cached ~input:_ ~phase ~levels =
     let key = (phase, Array.to_list levels) in
     match Hashtbl.find_opt cache key with
@@ -178,7 +187,6 @@ let solver ?search ?(enumeration_limit = 20000) ?(stochastic = default_stochasti
     match search with
     | Some s -> s
     | None ->
-        let space = Config_space.count abs in
         if space <= enumeration_limit then Enumerate
         else begin
           (* The fallback is correct but must not be silent: a plan whose
@@ -243,7 +251,10 @@ let solver ?search ?(enumeration_limit = 20000) ?(stochastic = default_stochasti
         remaining_roi := !remaining_roi -. roi.(phase);
         let result =
           match search with
-          | Enumerate -> enumerate_phase ~predict:predict_cached ~input ~phase ~budget:allocated.(phase) abs
+          | Enumerate ->
+              Option.map
+                (fun (k, p) -> (Config_space.nth abs k, p))
+                (Frontier.query (frontier phase) ~budget:allocated.(phase))
           | Greedy -> greedy_phase ~predict:predict_cached ~input ~phase ~budget:allocated.(phase) abs
           | Stochastic -> assert false (* whole-schedule strategy; handled before the sweeps *)
         in
@@ -336,7 +347,7 @@ let solver ?search ?(enumeration_limit = 20000) ?(stochastic = default_stochasti
           | Some (levels, p) -> (levels, p)
           | None ->
               let levels = Array.make n_abs 0 in
-              (levels, predict_cached ~input ~phase ~levels)
+              (levels, predict_compiled ~phase ~levels)
         in
         schedule_levels.(phase) <- levels;
         { phase; levels; predicted; sub_budget = allocated.(phase) })

@@ -91,13 +91,25 @@ val optimize :
     revisions).  The constructed plan is audited the same way
     ({!Opprox_analysis.Lint_plan.check_plan}) before it is returned.
 
+    [Enumerate] prices each phase's configuration space once per solver,
+    the first time a sweep visits the phase, into a {!Frontier}
+    staircase; later sweeps and later budgets query it.  The plan is the
+    one per-point enumeration would choose: the first configuration, in
+    {!Opprox_sim.Config_space.all} order, of greatest conservative
+    speedup whose conservative QoS fits the sub-budget.
+
     Observability: each solve runs at most five Algorithm-2 sweeps and
     accounts for itself in the {!Opprox_obs.Metrics} registry —
     [optimizer.solves], [optimizer.sweeps] (sweeps actually executed),
-    [optimizer.predict.hit]/[optimizer.predict.miss] (the per-solve
-    prediction memo) and [optimizer.phase.reopt] (choices replaced by a
-    later sweep) — and emits one {!Opprox_obs.Trace} span per solve and
-    per sweep. *)
+    [optimizer.predict.miss] (configuration points priced: a phase's
+    whole space when its staircase is built, one point per greedy or
+    stochastic lookup that is not memoized), [optimizer.predict.hit]
+    (points reused without pricing: a phase's whole space for each
+    staircase query after the first, one point per memoized lookup) and
+    [optimizer.phase.reopt] (choices replaced by a later sweep) — and
+    emits one {!Opprox_obs.Trace} span per solve and per sweep.  The
+    hit ratio counts exactly what the earlier per-point memo counted, so
+    it stays comparable across revisions. *)
 
 val solver :
   ?search:search ->
@@ -112,9 +124,9 @@ val solver :
   unit ->
   plan
 (** Partially-applied {!optimize}: compile the prediction pipeline (input
-    classification, model selection, regression scratch) and the
-    (phase, levels) prediction memo {e once}, then solve any number of
-    budgets against them.  Predictions do not depend on the budget — only
+    classification, model selection, local-model tables, regression
+    scratch) {e once}, and price each phase's space at most once, then
+    solve any number of budgets against them.  Predictions do not depend on the budget — only
     admissibility does — so a budget-grid sweep (the corpus precompute)
     pays the model-compilation cost once per (app, input) instead of once
     per cell.  [optimize ~budget ()] is [solver () ~budget ()].

@@ -62,14 +62,11 @@ let degree t = t.degree
 let output_dim t = Array.length t.exponents
 let exponents t = Array.to_list (Array.map Array.copy t.exponents)
 
-let pow x n =
-  let rec go acc x n =
-    if n = 0 then acc
-    else if n land 1 = 1 then go (acc *. x) (x *. x) (n lsr 1)
-    else go acc (x *. x) (n lsr 1)
-  in
-  go 1.0 x n
-
+(* Plain loops with no closure or captured [ref]: this runs on every
+   regression evaluation.  [x^e] is square-and-multiply, low bit first
+   (odd bit: [p *. x]; every bit: [x *. x]).  Keep that multiplication
+   order: saved models and the pinned plans depend on bit-identical
+   features. *)
 let apply_into t raw out =
   if Array.length raw <> t.arity then invalid_arg "Polyfeat.apply_into: arity mismatch";
   if Array.length out <> Array.length t.exponents then
@@ -77,7 +74,18 @@ let apply_into t raw out =
   for m = 0 to Array.length t.exponents - 1 do
     let expv = t.exponents.(m) in
     let acc = ref 1.0 in
-    Array.iteri (fun i e -> if e > 0 then acc := !acc *. pow raw.(i) e) expv;
+    for i = 0 to t.arity - 1 do
+      let e = expv.(i) in
+      if e > 0 then begin
+        let p = ref 1.0 and x = ref raw.(i) and n = ref e in
+        while !n > 0 do
+          if !n land 1 = 1 then p := !p *. !x;
+          x := !x *. !x;
+          n := !n lsr 1
+        done;
+        acc := !acc *. !p
+      end
+    done;
     out.(m) <- !acc
   done
 

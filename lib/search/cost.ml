@@ -26,7 +26,10 @@ let feasibility_eps budget = 1e-6 *. Float.max 1.0 (Float.abs budget)
 let make ~models ~input ~budget =
   {
     predict = Models.predictor models ~input;
-    cache = Hashtbl.create 4096;
+    (* Small on purpose: a 4096-bucket array is 32 KB, past the minor
+       heap's size limit, so every chain of every solve allocated it
+       straight into the major heap.  The table grows as chains need. *)
+    cache = Hashtbl.create 16;
     budget;
     n_phases = Models.n_phases models;
     abs = (Models.app models).App.abs;

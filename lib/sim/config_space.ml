@@ -20,6 +20,25 @@ let all abs =
   in
   List.map Array.of_list (go 0)
 
+let nth abs k =
+  if k < 0 || k >= count abs then invalid_arg "Config_space.nth: index out of range";
+  let levels = Array.make (Array.length abs) 0 in
+  let r = ref k in
+  for a = Array.length abs - 1 downto 0 do
+    let radix = abs.(a).Ab.max_level + 1 in
+    levels.(a) <- !r mod radix;
+    r := !r / radix
+  done;
+  levels
+
+let advance abs levels =
+  let a = ref (Array.length abs - 1) in
+  while !a >= 0 && levels.(!a) >= abs.(!a).Ab.max_level do
+    levels.(!a) <- 0;
+    decr a
+  done;
+  if !a >= 0 then levels.(!a) <- levels.(!a) + 1
+
 let local_sweeps abs =
   let n = Array.length abs in
   List.concat

@@ -16,6 +16,16 @@ val all : Ab.t array -> int array list
 (** Every joint configuration, all-zero vector first, in lexicographic
     order.  Intended for spaces up to a few thousand configurations. *)
 
+val nth : Ab.t array -> int -> int array
+(** [nth abs k] is element [k] of {!all}[ abs] (a fresh array), decoded
+    as a mixed-radix number whose last AB is the fastest digit.  Requires
+    [0 <= k < count abs]. *)
+
+val advance : Ab.t array -> int array -> unit
+(** Step a configuration in place to its successor in {!all} order.  The
+    last configuration wraps to all-zero.  Walking [count abs - 1] steps
+    from {!zero} visits the space without building the list. *)
+
 val local_sweeps : Ab.t array -> (int * int array) list
 (** For each AB index [a] and each level [l] in [1 .. max_level_a], the
     configuration with AB [a] at [l] and every other AB exact — the

@@ -12,6 +12,8 @@ module Optimizer = Opprox.Optimizer
 module Oracle = Opprox.Oracle
 module Phases = Opprox.Phases
 module Cfmodel = Opprox.Cfmodel
+module Frontier = Opprox.Frontier
+module Ab = Opprox_sim.Ab
 open Fixtures
 
 (* Shared trained pipeline on the toy app (built once). *)
@@ -184,6 +186,64 @@ let test_models_predictor_matches_predict () =
       [ [| 0; 0 |]; [| 1; 0 |]; [| 0; 2 |]; [| 3; 3 |]; [| 2; 1 |] ]
   done
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_prediction (a : Models.prediction) (b : Models.prediction) =
+  same_bits a.speedup b.speedup && same_bits a.qos b.qos && same_bits a.speedup_lo b.speedup_lo
+  && same_bits a.qos_hi b.qos_hi && same_bits a.iters_ratio b.iters_ratio
+
+let kmeans_fixture =
+  lazy (Opprox.load ~resolve:Opprox_apps.Registry.find "fixtures/trained_kmeans.sexp")
+
+(* (models, input) pairs the predictor properties run over: the toy
+   models at their default input and the committed kmeans models at an
+   input between their training points. *)
+let predictor_cases () =
+  [
+    (Lazy.force models, toy.App.default_input);
+    ((Lazy.force kmeans_fixture).Opprox.models, [| 350.0; 9.0; 3.0 |]);
+  ]
+
+let test_models_predictor_every_level () =
+  (* Every level of every AB, one past [max_level] and one below zero
+     (both outside the local tables), with the other ABs exact and at
+     their maximum. *)
+  List.iter
+    (fun (m, input) ->
+      let abs = (Models.app m).App.abs in
+      let p = Models.predictor m ~input in
+      for phase = 0 to Models.n_phases m - 1 do
+        Array.iteri
+          (fun ab (spec : Ab.t) ->
+            for level = -1 to spec.max_level + 1 do
+              List.iter
+                (fun base ->
+                  let levels = Array.copy base in
+                  levels.(ab) <- level;
+                  check_bool
+                    (Printf.sprintf "phase %d AB %d level %d" phase ab level)
+                    true
+                    (same_prediction (Models.predict m ~input ~phase ~levels) (p ~phase ~levels)))
+                [ Array.make (Array.length abs) 0; Array.map (fun (a : Ab.t) -> a.max_level) abs ]
+            done)
+          abs
+      done)
+    (predictor_cases ())
+
+let prop_models_predictor_matches_predict =
+  qcheck_case ~count:300 "predictor bit-identical to predict on joint configs"
+    QCheck.(pair bool (pair small_nat (list_of_size (QCheck.Gen.return 4) small_nat)))
+    (fun (use_kmeans, (phase_seed, level_seeds)) ->
+      let m, input = List.nth (predictor_cases ()) (if use_kmeans then 1 else 0) in
+      let abs = (Models.app m).App.abs in
+      let phase = phase_seed mod Models.n_phases m in
+      (* Levels range over [0, max_level + 1]: the table and one past it. *)
+      let levels =
+        Array.mapi (fun i (a : Ab.t) -> List.nth level_seeds i mod (a.max_level + 2)) abs
+      in
+      same_prediction (Models.predict m ~input ~phase ~levels)
+        (Models.predictor m ~input ~phase ~levels))
+
 let test_models_quality_reported () =
   let m = Lazy.force models in
   check_bool "speedup R2 high on deterministic toy" true (Models.speedup_r2 m > 0.7);
@@ -272,7 +332,7 @@ let pin_models =
   lazy
     [
       ("toy", Lazy.force trained);
-      ("kmeans", Opprox.load ~resolve:Opprox_apps.Registry.find "fixtures/trained_kmeans.sexp");
+      ("kmeans", Lazy.force kmeans_fixture);
     ]
 
 let pin_inputs = function
@@ -319,6 +379,87 @@ let test_plans_match_pins () =
       check_int (label ^ " first_phase") (S.to_int (S.field pin "first_phase")) first_phase;
       Alcotest.(check string) label (S.to_string (S.field pin "plan")) plan)
     pins fresh
+
+(* The optimizer's former per-point rule over an explicit table: the
+   first point of greatest [speedup_lo] among those whose [qos_hi] fits. *)
+let reference_best table ~budget =
+  let best = ref None in
+  Array.iteri
+    (fun k (p : Models.prediction) ->
+      if p.qos_hi <= budget then
+        match !best with
+        | Some (_, (b : Models.prediction)) when b.speedup_lo >= p.speedup_lo -> ()
+        | _ -> best := Some (k, p))
+    table;
+  !best
+
+let prop_frontier_matches_reference =
+  (* Values come from small pools so exact ties and equal [qos_hi] are
+     common.  One table in five may hold non-finite values and one in
+     eight lies entirely above every queried budget. *)
+  let open QCheck.Gen in
+  let non_finite = oneofl [ Float.nan; Float.infinity; Float.neg_infinity ] in
+  let value pool lo hi ~wild =
+    frequency ([ (4, oneofl pool); (4, float_range lo hi) ] @ if wild then [ (1, non_finite) ] else [])
+  in
+  let entry ~wild ~infeasible =
+    let qos = if infeasible then float_range 100.0 200.0 else value [ 0.0; 1.0; 2.0; 2.5; 4.0 ] 0.0 10.0 ~wild in
+    map2
+      (fun qos_hi speedup_lo ->
+        { Models.speedup = speedup_lo; qos = qos_hi; speedup_lo; qos_hi; iters_ratio = 1.0 })
+      qos (value [ 1.0; 1.25; 1.5; 2.0 ] 0.5 3.0 ~wild)
+  in
+  let gen =
+    int_range 0 39 >>= fun mode ->
+    let wild = mode < 8 and infeasible = mode >= 35 in
+    pair (array_size (int_range 1 40) (entry ~wild ~infeasible)) (list_repeat 8 (float_range (-1.0) 12.0))
+  in
+  qcheck_case ~count:400 "staircase query equals the per-point rule" (QCheck.make gen)
+    (fun (table, budgets) ->
+      let n = Array.length table in
+      let in_order = ref true and next = ref 0 in
+      let price k =
+        (* The optimizer's odometer relies on this call order. *)
+        if k <> !next && k <> 0 then in_order := false;
+        next := k + 1;
+        table.(k)
+      in
+      let f = Frontier.build ~n price in
+      let budgets =
+        budgets @ [ 0.0; Float.infinity; Float.neg_infinity ]
+        @ Array.to_list (Array.map (fun (p : Models.prediction) -> p.qos_hi) table)
+      in
+      !in_order
+      && List.for_all
+           (fun budget ->
+             match (Frontier.query f ~budget, reference_best table ~budget) with
+             | None, None -> true
+             | Some (k, p), Some (k', p') -> k = k' && p == p'
+             | _ -> false)
+           budgets)
+
+let test_enumerate_solve_allocation () =
+  (* One Enumerate solve, solver construction included, must allocate no
+     block straight into the major heap (blocks over 256 words skip the
+     minor heap).  A 4096-bucket memo table did: 4097 words per solve.
+     [Gc.counters] reads this domain's counters, and the solves run here
+     on the test's own domain. *)
+  let tr = Lazy.force kmeans_fixture in
+  let solve budget =
+    Optimizer.optimize ~search:Optimizer.Enumerate ~models:tr.Opprox.models ~roi:tr.Opprox.roi
+      ~input:[| 400.0; 10.0; 3.0 |] ~budget ()
+  in
+  ignore (solve 60.0);
+  let n = 20 in
+  let _, promoted0, major0 = Gc.counters () in
+  for i = 1 to n do
+    ignore (solve (5.0 *. float_of_int i))
+  done;
+  let _, promoted1, major1 = Gc.counters () in
+  let direct = (major1 -. major0 -. (promoted1 -. promoted0)) /. float_of_int n in
+  check_bool
+    (Printf.sprintf "%.1f words per solve allocated straight into the major heap (bound 64)" direct)
+    true (direct <= 64.0)
 
 let prop_roi_allocation_nonnegative =
   qcheck_case "allocations stay nonnegative"
@@ -481,6 +622,8 @@ let suite =
         Alcotest.test_case "speedup sane" `Quick test_models_speedup_sane;
         Alcotest.test_case "bad phase" `Quick test_models_bad_phase;
         Alcotest.test_case "predictor matches predict" `Quick test_models_predictor_matches_predict;
+        Alcotest.test_case "predictor at every level" `Quick test_models_predictor_every_level;
+        prop_models_predictor_matches_predict;
         Alcotest.test_case "quality reported" `Quick test_models_quality_reported;
       ] );
     ( "optimizer",
@@ -496,6 +639,8 @@ let suite =
         Alcotest.test_case "schedule shape" `Quick test_optimizer_schedule_shape;
         Alcotest.test_case "choices cover phases" `Quick test_optimizer_choices_cover_phases;
         Alcotest.test_case "plans match pins" `Quick test_plans_match_pins;
+        Alcotest.test_case "enumerate solve allocation" `Quick test_enumerate_solve_allocation;
+        prop_frontier_matches_reference;
         prop_roi_allocation_nonnegative;
         prop_optimizer_feasible_on_random_budgets;
       ] );

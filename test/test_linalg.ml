@@ -283,6 +283,53 @@ let prop_polyfeat_product_structure =
         (fun v e -> Float.abs (v -. ((x ** float_of_int e.(0)) *. (y ** float_of_int e.(1)))) < 1e-9)
         out exps)
 
+(* The closure-and-[pow] expansion [Polyfeat.apply_into] used to be,
+   kept as the reference its loop rewrite must match bit for bit. *)
+let reference_apply f raw =
+  let pow x n =
+    let rec go acc x n =
+      if n = 0 then acc
+      else if n land 1 = 1 then go (acc *. x) (x *. x) (n lsr 1)
+      else go acc (x *. x) (n lsr 1)
+    in
+    go 1.0 x n
+  in
+  Array.of_list
+    (List.map
+       (fun expv ->
+         let acc = ref 1.0 in
+         Array.iteri (fun i e -> if e > 0 then acc := !acc *. pow raw.(i) e) expv;
+         !acc)
+       (Polyfeat.exponents f))
+
+let prop_polyfeat_apply_into_bit_identical =
+  (* Raw values span signs, zeros, tiny and huge magnitudes (so powers
+     underflow and overflow) and the non-finite values. *)
+  let raw_value =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, float_range (-3.0) 3.0);
+          (2, map (fun e -> Float.ldexp 1.3 e) (int_range (-600) 600));
+          (1, oneofl [ 0.0; -0.0; 1.0; -1.0; Float.nan; Float.infinity; Float.neg_infinity ]);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      int_range 1 5 >>= fun arity ->
+      int_range 0 7 >>= fun degree ->
+      array_size (return arity) (int_range 0 7) >>= fun caps ->
+      array_size (return arity) raw_value >|= fun raw -> (degree, caps, raw))
+  in
+  qcheck_case ~count:300 "apply_into bit-identical to closure-and-pow reference"
+    (QCheck.make gen) (fun (degree, caps, raw) ->
+      let f = Polyfeat.create ~caps ~arity:(Array.length raw) ~degree () in
+      let out = Array.make (Polyfeat.output_dim f) 0.0 in
+      Polyfeat.apply_into f raw out;
+      Array.for_all2
+        (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+        out (reference_apply f raw))
+
 let suite =
   [
     ( "matrix",
@@ -335,5 +382,6 @@ let suite =
         Alcotest.test_case "exponent caps" `Quick test_polyfeat_caps;
         Alcotest.test_case "design matrix" `Quick test_polyfeat_design_matrix;
         prop_polyfeat_product_structure;
+        prop_polyfeat_apply_into_bit_identical;
       ] );
   ]

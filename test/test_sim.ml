@@ -314,6 +314,23 @@ let test_space_random_nonzero () =
     check_bool "not all zero" true (Array.exists (fun l -> l > 0) c)
   done
 
+let test_space_nth_and_advance () =
+  (* Both walk the space in [all] order: nth decodes an index, advance
+     steps a vector in place and wraps from the last to all-zero. *)
+  let all = Config_space.all two_abs in
+  List.iteri
+    (fun k c -> Alcotest.(check (array int)) (Printf.sprintf "nth %d" k) c (Config_space.nth two_abs k))
+    all;
+  let levels = Config_space.zero two_abs in
+  List.iter
+    (fun c ->
+      Alcotest.(check (array int)) "advance" c levels;
+      Config_space.advance two_abs levels)
+    all;
+  Alcotest.(check (array int)) "wraps to zero" [| 0; 0 |] levels;
+  Alcotest.check_raises "out of range" (Invalid_argument "Config_space.nth: index out of range")
+    (fun () -> ignore (Config_space.nth two_abs 12))
+
 let test_phase_space_count () =
   check_int "count * phases * inputs" (12 * 4 * 3)
     (Config_space.phase_space_count two_abs ~n_phases:4 ~n_inputs:3)
@@ -504,6 +521,7 @@ let suite =
         Alcotest.test_case "local sweeps" `Quick test_space_local_sweeps;
         Alcotest.test_case "random bounds" `Quick test_space_random_bounds;
         Alcotest.test_case "random nonzero" `Quick test_space_random_nonzero;
+        Alcotest.test_case "nth and advance" `Quick test_space_nth_and_advance;
         Alcotest.test_case "phase space count" `Quick test_phase_space_count;
       ] );
     ( "inputs",
