@@ -193,9 +193,11 @@ control-smoke:
 # the multi-chain MCMC must plan the 9^13-point joint space (enumeration
 # is infeasible there — the fallback the PLAN010 rule makes visible) in
 # seconds with a lint-clean plan (opprox search exits non-zero on any
-# PLAN/SRCH error), and the result must be bit-identical across repeat
-# runs and across --jobs: chains are seeded by (seed, index), never by
-# scheduling.
+# PLAN/SRCH error), its output must equal the recorded
+# test/fixtures/search_smoke.expected byte for byte (any rewrite of the
+# search's pricing path must choose the same plan), and the result must
+# be bit-identical across repeat runs and across --jobs: chains are
+# seeded by (seed, index), never by scheduling.
 search-smoke:
 	dune build bin/opprox_cli.exe
 	@set -e; \
@@ -209,6 +211,10 @@ search-smoke:
 	grep -q "predicted speedup" $$DIR/j1.out \
 	  || { echo "search-smoke: no search stats line"; cat $$DIR/j1.out; exit 1; }; \
 	echo "search-smoke: planned the 9^13 joint space, plan lint-clean (ok)"; \
+	cmp -s $$DIR/j1.out test/fixtures/search_smoke.expected \
+	  || { echo "search-smoke: output differs from the recorded plan"; \
+	       diff test/fixtures/search_smoke.expected $$DIR/j1.out; exit 1; }; \
+	echo "search-smoke: matches test/fixtures/search_smoke.expected (ok)"; \
 	dune exec --no-build bin/opprox_cli.exe -- $$ARGS -j 1 > $$DIR/j1b.out; \
 	cmp -s $$DIR/j1.out $$DIR/j1b.out \
 	  || { echo "search-smoke: repeat run differs at the same seed"; \

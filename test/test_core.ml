@@ -348,24 +348,26 @@ let pin_budgets = function
 let pin_suffix_budget = function "toy" -> 10.0 | _ -> 80.0
 
 (* (model, input, budget, first_phase, printed plan) for every pinned case. *)
-let pinned_plans () =
+let pinned_plans ?search ?stochastic ~budgets ~suffix_budget () =
   List.concat_map
     (fun (name, (tr : Opprox.trained)) ->
       List.concat_map
         (fun input ->
-          let solve = Optimizer.solver ~models:tr.Opprox.models ~roi:tr.Opprox.roi ~input () in
+          let solve =
+            Optimizer.solver ?search ?stochastic ~models:tr.Opprox.models ~roi:tr.Opprox.roi
+              ~input ()
+          in
           let case ?(first_phase = 0) budget =
             (name, input, budget, first_phase,
              Opprox_util.Sexp.to_string (Optimizer.plan_to_sexp (solve ~first_phase ~budget ())))
           in
-          List.map case (pin_budgets name) @ [ case ~first_phase:1 (pin_suffix_budget name) ])
+          List.map case (budgets name) @ [ case ~first_phase:1 (suffix_budget name) ])
         (pin_inputs name))
     (Lazy.force pin_models)
 
-let test_plans_match_pins () =
+let check_pins file fresh =
   let module S = Opprox_util.Sexp in
-  let pins = S.to_list (S.load "fixtures/plan_pins.sexp") in
-  let fresh = pinned_plans () in
+  let pins = S.to_list (S.load file) in
   check_int "pinned case count" (List.length pins) (List.length fresh);
   List.iter2
     (fun pin (name, input, budget, first_phase, plan) ->
@@ -379,6 +381,26 @@ let test_plans_match_pins () =
       check_int (label ^ " first_phase") (S.to_int (S.field pin "first_phase")) first_phase;
       Alcotest.(check string) label (S.to_string (S.field pin "plan")) plan)
     pins fresh
+
+let test_plans_match_pins () =
+  check_pins "fixtures/plan_pins.sexp"
+    (pinned_plans ~budgets:pin_budgets ~suffix_budget:pin_suffix_budget ())
+
+(* The same pins for the forced stochastic strategy
+   (test/fixtures/stochastic_pins.sexp), recorded before the search's
+   memo key, incremental chain pricing and sparse monomials replaced
+   whole-schedule re-pricing: short chains, so a few budgets per input
+   stay fast, and each plan must still come out byte-for-byte. *)
+let stochastic_pin_params = { Optimizer.chains = 2; iters = 300; seed = 0x5EED }
+
+let stochastic_pin_budgets = function "toy" -> [ 5.0; 10.0; 20.0 ] | _ -> [ 45.0; 80.0; 100.0 ]
+
+let stochastic_pinned_plans () =
+  pinned_plans ~search:Optimizer.Stochastic ~stochastic:stochastic_pin_params
+    ~budgets:stochastic_pin_budgets ~suffix_budget:pin_suffix_budget ()
+
+let test_stochastic_plans_match_pins () =
+  check_pins "fixtures/stochastic_pins.sexp" (stochastic_pinned_plans ())
 
 (* The optimizer's former per-point rule over an explicit table: the
    first point of greatest [speedup_lo] among those whose [qos_hi] fits. *)
@@ -639,6 +661,7 @@ let suite =
         Alcotest.test_case "schedule shape" `Quick test_optimizer_schedule_shape;
         Alcotest.test_case "choices cover phases" `Quick test_optimizer_choices_cover_phases;
         Alcotest.test_case "plans match pins" `Quick test_plans_match_pins;
+        Alcotest.test_case "stochastic plans match pins" `Quick test_stochastic_plans_match_pins;
         Alcotest.test_case "enumerate solve allocation" `Quick test_enumerate_solve_allocation;
         prop_frontier_matches_reference;
         prop_roi_allocation_nonnegative;
