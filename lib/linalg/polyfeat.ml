@@ -1,4 +1,23 @@
-type t = { arity : int; degree : int; exponents : int array array }
+type t = {
+  arity : int;
+  degree : int;
+  exponents : int array array;
+  factors : int array array;
+      (* per monomial, its non-zero exponents as flat (variable, exponent)
+         pairs in increasing variable order: at most [degree] pairs *)
+}
+
+let factors_of exponents =
+  Array.map
+    (fun expv ->
+      let pairs = ref [] in
+      for i = Array.length expv - 1 downto 0 do
+        if expv.(i) > 0 then pairs := i :: expv.(i) :: !pairs
+      done;
+      Array.of_list !pairs)
+    exponents
+
+let make ~arity ~degree exponents = { arity; degree; exponents; factors = factors_of exponents }
 
 (* Enumerate exponent vectors with total degree <= d, graded order:
    constant first, then degree 1 monomials, etc. *)
@@ -42,7 +61,7 @@ let create ?caps ~arity ~degree () =
                !ok)
              (Array.to_seq exponents))
   in
-  { arity; degree; exponents }
+  make ~arity ~degree exponents
 
 let of_exponents exponents =
   let n = Array.length exponents in
@@ -55,7 +74,7 @@ let of_exponents exponents =
   let degree =
     Array.fold_left (fun acc e -> Stdlib.max acc (Array.fold_left ( + ) 0 e)) 0 exponents
   in
-  { arity; degree; exponents = Array.map Array.copy exponents }
+  make ~arity ~degree (Array.map Array.copy exponents)
 
 let arity t = t.arity
 let degree t = t.degree
@@ -63,28 +82,26 @@ let output_dim t = Array.length t.exponents
 let exponents t = Array.to_list (Array.map Array.copy t.exponents)
 
 (* Plain loops with no closure or captured [ref]: this runs on every
-   regression evaluation.  [x^e] is square-and-multiply, low bit first
-   (odd bit: [p *. x]; every bit: [x *. x]).  Keep that multiplication
-   order: saved models and the pinned plans depend on bit-identical
-   features. *)
+   regression evaluation, and visits only each monomial's non-zero
+   exponents.  [x^e] is square-and-multiply, low bit first (odd bit:
+   [p *. x]; every bit: [x *. x]), and the factors multiply in increasing
+   variable order.  Keep both orders: saved models and the pinned plans
+   depend on bit-identical features. *)
 let apply_into t raw out =
   if Array.length raw <> t.arity then invalid_arg "Polyfeat.apply_into: arity mismatch";
   if Array.length out <> Array.length t.exponents then
     invalid_arg "Polyfeat.apply_into: output dim mismatch";
-  for m = 0 to Array.length t.exponents - 1 do
-    let expv = t.exponents.(m) in
+  for m = 0 to Array.length t.factors - 1 do
+    let pairs = t.factors.(m) in
     let acc = ref 1.0 in
-    for i = 0 to t.arity - 1 do
-      let e = expv.(i) in
-      if e > 0 then begin
-        let p = ref 1.0 and x = ref raw.(i) and n = ref e in
-        while !n > 0 do
-          if !n land 1 = 1 then p := !p *. !x;
-          x := !x *. !x;
-          n := !n lsr 1
-        done;
-        acc := !acc *. !p
-      end
+    for f = 0 to (Array.length pairs / 2) - 1 do
+      let p = ref 1.0 and x = ref raw.(pairs.(2 * f)) and n = ref pairs.((2 * f) + 1) in
+      while !n > 0 do
+        if !n land 1 = 1 then p := !p *. !x;
+        x := !x *. !x;
+        n := !n lsr 1
+      done;
+      acc := !acc *. !p
     done;
     out.(m) <- !acc
   done

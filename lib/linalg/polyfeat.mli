@@ -38,8 +38,12 @@ val apply_into : t -> float array -> float array -> unit
 (** [apply_into t raw out] expands [raw] into the preallocated buffer
     [out] (length {!output_dim}), allocation-free.  The hot prediction
     loops reuse one buffer across millions of expansions; see
-    {!Opprox_ml.Polyreg.predictor}.  Raises [Invalid_argument] on arity
-    or output-length mismatch. *)
+    {!Opprox_ml.Polyreg.predictor}.  Each monomial's non-zero
+    (variable, exponent) pairs are fixed when the map is built, so a
+    monomial of total degree [d] costs at most [d] powers, whatever the
+    arity; factors multiply in increasing variable order, each power by
+    square-and-multiply, and the results are bit-identical to {!apply}.
+    Raises [Invalid_argument] on arity or output-length mismatch. *)
 
 val design_matrix : t -> float array array -> Matrix.t
 (** Expand a batch of raw feature vectors into a design matrix with one

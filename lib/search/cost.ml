@@ -1,6 +1,7 @@
 module Models = Opprox.Models
 module Optimizer = Opprox.Optimizer
 module App = Opprox_sim.App
+module Config_memo = Opprox_sim.Config_memo
 
 type eval = {
   cost : float;
@@ -11,11 +12,16 @@ type eval = {
 }
 
 type t = {
-  predict : phase:int -> levels:int array -> Models.prediction;
-  cache : (int * int list, Models.prediction) Hashtbl.t;
+  predict_compiled : phase:int -> levels:int array -> Models.prediction;
+  memo : Models.prediction Config_memo.t;
   budget : float;
   n_phases : int;
   abs : Opprox_sim.Ab.t array;
+  (* Scratch for the composed speedups: one [t] serves one chain. *)
+  speedups : float array;
+  speedups_lo : float array;
+  mutable hits : int;
+  mutable misses : int;
 }
 
 let penalty = 10.0
@@ -24,36 +30,47 @@ let penalty = 10.0
 let feasibility_eps budget = 1e-6 *. Float.max 1.0 (Float.abs budget)
 
 let make ~models ~input ~budget =
+  let n_phases = Models.n_phases models in
+  let abs = (Models.app models).App.abs in
   {
-    predict = Models.predictor models ~input;
-    (* Small on purpose: a 4096-bucket array is 32 KB, past the minor
-       heap's size limit, so every chain of every solve allocated it
-       straight into the major heap.  The table grows as chains need. *)
-    cache = Hashtbl.create 16;
+    predict_compiled = Models.predictor models ~input;
+    memo = Config_memo.create abs ~n_phases;
     budget;
-    n_phases = Models.n_phases models;
-    abs = (Models.app models).App.abs;
+    n_phases;
+    abs;
+    speedups = Array.make n_phases 0.0;
+    speedups_lo = Array.make n_phases 0.0;
+    hits = 0;
+    misses = 0;
   }
 
-let predict_cached t ~phase ~levels =
-  let key = (phase, Array.to_list levels) in
-  match Hashtbl.find_opt t.cache key with
-  | Some p -> p
-  | None ->
-      let p = t.predict ~phase ~levels in
-      Hashtbl.replace t.cache key p;
+let predict t ~phase ~levels =
+  match Config_memo.find t.memo ~phase ~levels with
+  | p ->
+      t.hits <- t.hits + 1;
+      p
+  | exception Not_found ->
+      t.misses <- t.misses + 1;
+      let p = t.predict_compiled ~phase ~levels in
+      Config_memo.add t.memo ~phase ~levels p;
       p
 
-let eval t sched =
-  let speedups = ref [] and speedups_lo = ref [] and qos = ref 0.0 in
+let predictions t sched = Array.init t.n_phases (fun phase -> predict t ~phase ~levels:sched.(phase))
+
+(* The summation order is part of the contract: conservative QoS summed
+   from the last phase down, speedups composed in phase order.  Plans
+   are pinned byte-for-byte, and a different order moves the last bits. *)
+let eval_predictions t preds =
+  if Array.length preds <> t.n_phases then invalid_arg "Cost.eval_predictions: phase count";
+  let qos = ref 0.0 in
   for phase = t.n_phases - 1 downto 0 do
-    let p = predict_cached t ~phase ~levels:sched.(phase) in
-    speedups := p.Models.speedup :: !speedups;
-    speedups_lo := p.Models.speedup_lo :: !speedups_lo;
+    let p = preds.(phase) in
+    t.speedups.(phase) <- p.Models.speedup;
+    t.speedups_lo.(phase) <- p.Models.speedup_lo;
     qos := !qos +. Float.max 0.0 p.Models.qos_hi
   done;
-  let speedup = Optimizer.compose_speedup !speedups in
-  let speedup_lo = Optimizer.compose_speedup !speedups_lo in
+  let speedup = Optimizer.compose_speedup_array t.speedups in
+  let speedup_lo = Optimizer.compose_speedup_array t.speedups_lo in
   let overrun = Float.max 0.0 (!qos -. t.budget) in
   {
     cost = (-.speedup_lo) +. (penalty *. overrun);
@@ -63,6 +80,9 @@ let eval t sched =
     feasible = !qos <= t.budget +. feasibility_eps t.budget;
   }
 
+let eval t sched = eval_predictions t (predictions t sched)
 let budget t = t.budget
 let n_phases t = t.n_phases
 let abs t = t.abs
+let hits t = t.hits
+let misses t = t.misses

@@ -27,27 +27,44 @@ type result = {
 
 let copy_sched = Array.map Array.copy
 
+let rows_equal (a : int array) b =
+  let n = Array.length a in
+  let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
+  n = Array.length b && go 0
+
 let run ~rng ~cost ~first_phase config =
   let abs = Cost.abs cost in
   let n_phases = Cost.n_phases cost in
-  let current = Array.init n_phases (fun _ -> Array.make (Array.length abs) 0) in
-  let current_eval = ref (Cost.eval cost current) in
-  let current = ref current in
-  let best =
-    ref (if !current_eval.Cost.feasible then Some (copy_sched !current, !current_eval) else None)
-  in
+  (* Schedules are never mutated in place here ({!Mutate} returns fresh
+     ones), so [current] and [best] share rows without copies. *)
+  let current = ref (Array.init n_phases (fun _ -> Array.make (Array.length abs) 0)) in
+  (* The per-phase predictions of [!current], and scratch for a
+     proposal's: a proposal re-prices only the rows it changed, and the
+     two arrays trade places when it is accepted. *)
+  let current_preds = ref (Cost.predictions cost !current) in
+  let candidate_preds = ref (Array.copy !current_preds) in
+  let current_eval = ref (Cost.eval_predictions cost !current_preds) in
+  let best = ref (if !current_eval.Cost.feasible then Some (!current, !current_eval) else None) in
   let temp = ref config.init_temp in
   let accepts = ref 0 in
   let restarts = ref 0 in
   let stall = ref 0 in
   for _step = 1 to config.iters do
     let candidate = Mutate.apply rng ~abs ~first_phase !current in
-    let c_eval = Cost.eval cost candidate in
+    let held = !current_preds and fresh = !candidate_preds in
+    for phase = 0 to n_phases - 1 do
+      fresh.(phase) <-
+        (if rows_equal candidate.(phase) !current.(phase) then held.(phase)
+         else Cost.predict cost ~phase ~levels:candidate.(phase))
+    done;
+    let c_eval = Cost.eval_predictions cost fresh in
     let delta = c_eval.Cost.cost -. !current_eval.Cost.cost in
     let accept = delta <= 0.0 || Rng.uniform rng < Float.exp (-.delta /. !temp) in
     if accept then begin
       current := candidate;
       current_eval := c_eval;
+      current_preds := fresh;
+      candidate_preds := held;
       incr accepts
     end;
     let improved =
@@ -58,7 +75,7 @@ let run ~rng ~cost ~first_phase config =
       | None -> true
     in
     if improved then begin
-      best := Some (copy_sched candidate, c_eval);
+      best := Some (candidate, c_eval);
       stall := 0
     end
     else incr stall;
@@ -68,8 +85,9 @@ let run ~rng ~cost ~first_phase config =
     (if config.restart_stall > 0 && !stall >= config.restart_stall then
        match !best with
        | Some (b, be) ->
-           current := copy_sched b;
+           current := b;
            current_eval := be;
+           current_preds := Cost.predictions cost b;
            incr restarts;
            stall := 0
        | None -> stall := 0);
@@ -77,12 +95,18 @@ let run ~rng ~cost ~first_phase config =
   done;
   { best = !best; steps = config.iters; accepts = !accepts; restarts = !restarts }
 
+type move = Step of { phase : int; ab : int; level : int } | Swap of { p : int; q : int }
+
 let polish ~cost ~first_phase sched =
   let abs = Cost.abs cost in
   let n_phases = Cost.n_phases cost in
   let n_abs = Array.length abs in
-  let current = ref (copy_sched sched) in
-  let current_eval = ref (Cost.eval cost !current) in
+  (* One private copy, moved in place: a candidate sets one cell (or
+     swaps two phases' predictions), prices the changed phase(s) and
+     restores what it touched, so no candidate copies the schedule. *)
+  let current = copy_sched sched in
+  let preds = Cost.predictions cost current in
+  let current_eval = ref (Cost.eval_predictions cost preds) in
   let improved = ref true in
   (* Each accepted move strictly improves a bounded cost over a finite
      space, so this terminates; the pass cap is a safety net only. *)
@@ -92,24 +116,29 @@ let polish ~cost ~first_phase sched =
     incr passes;
     improved := false;
     let best_move = ref None in
-    let consider candidate =
-      let e = Cost.eval cost candidate in
-      if e.Cost.feasible && e.Cost.cost < !current_eval.Cost.cost -. 1e-12 then
-        match !best_move with
-        | Some (_, be) when be.Cost.cost <= e.Cost.cost -> ()
-        | _ -> best_move := Some (candidate, e)
+    let better (e : Cost.eval) =
+      e.Cost.feasible
+      && e.Cost.cost < !current_eval.Cost.cost -. 1e-12
+      && match !best_move with Some (_, be) -> not (be.Cost.cost <= e.Cost.cost) | None -> true
+    in
+    let try_step phase ab delta =
+      let row = current.(phase) in
+      let old = row.(ab) in
+      let level = old + delta in
+      if level >= 0 && level <= abs.(ab).Ab.max_level then begin
+        row.(ab) <- level;
+        let held = preds.(phase) in
+        preds.(phase) <- Cost.predict cost ~phase ~levels:row;
+        row.(ab) <- old;
+        let e = Cost.eval_predictions cost preds in
+        preds.(phase) <- held;
+        if better e then best_move := Some (Step { phase; ab; level }, e)
+      end
     in
     for phase = first_phase to n_phases - 1 do
       for ab = 0 to n_abs - 1 do
-        List.iter
-          (fun delta ->
-            let l = !current.(phase).(ab) + delta in
-            if l >= 0 && l <= abs.(ab).Ab.max_level then begin
-              let candidate = copy_sched !current in
-              candidate.(phase).(ab) <- l;
-              consider candidate
-            end)
-          [ 1; -1 ]
+        try_step phase ab 1;
+        try_step phase ab (-1)
       done
     done;
     (* Phase-pair swaps widen the neighborhood past what +-1 steps can
@@ -118,20 +147,31 @@ let polish ~cost ~first_phase sched =
        the same optimum for best-of-chains to be chain-count invariant. *)
     for p = first_phase to n_phases - 2 do
       for q = p + 1 to n_phases - 1 do
-        if !current.(p) <> !current.(q) then begin
-          let candidate = copy_sched !current in
-          let tmp = candidate.(p) in
-          candidate.(p) <- candidate.(q);
-          candidate.(q) <- tmp;
-          consider candidate
+        if not (rows_equal current.(p) current.(q)) then begin
+          let held_p = preds.(p) and held_q = preds.(q) in
+          preds.(p) <- Cost.predict cost ~phase:p ~levels:current.(q);
+          preds.(q) <- Cost.predict cost ~phase:q ~levels:current.(p);
+          let e = Cost.eval_predictions cost preds in
+          preds.(p) <- held_p;
+          preds.(q) <- held_q;
+          if better e then best_move := Some (Swap { p; q }, e)
         end
       done
     done;
     match !best_move with
-    | Some (candidate, e) ->
-        current := candidate;
+    | Some (move, e) ->
+        (match move with
+        | Step { phase; ab; level } ->
+            current.(phase).(ab) <- level;
+            preds.(phase) <- Cost.predict cost ~phase ~levels:current.(phase)
+        | Swap { p; q } ->
+            let row = current.(p) in
+            current.(p) <- current.(q);
+            current.(q) <- row;
+            preds.(p) <- Cost.predict cost ~phase:p ~levels:current.(p);
+            preds.(q) <- Cost.predict cost ~phase:q ~levels:current.(q));
         current_eval := e;
         improved := true
     | None -> ()
   done;
-  (!current, !current_eval)
+  (current, !current_eval)

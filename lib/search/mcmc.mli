@@ -38,7 +38,10 @@ type result = {
 
 val run :
   rng:Opprox_util.Rng.t -> cost:Cost.t -> first_phase:int -> config -> result
-(** Run one chain.  Phase count / AB ranges come from [cost]. *)
+(** Run one chain.  Phase count / AB ranges come from [cost].  The chain
+    holds its current schedule's per-phase predictions and re-prices
+    only the rows a proposal changed ({!Cost.predict}); every eval is
+    bit-identical to {!Cost.eval} of the whole proposal. *)
 
 val polish :
   cost:Cost.t -> first_phase:int -> int array array -> int array array * Cost.eval
@@ -49,4 +52,8 @@ val polish :
     between.  RNG-free, so chains that converged into one basin collapse
     to the {e same} local optimum — this is what makes best-of-chains
     bit-identical across chain counts once the iteration budget suffices.
-    Requires a feasible starting schedule. *)
+    Works in place on one copy of [sched] (which it never modifies): a
+    candidate changes one cell, or prices two phases with each other's
+    rows, re-prices only the phases it touched and is undone, so no
+    candidate copies the schedule.  Requires a feasible starting
+    schedule. *)

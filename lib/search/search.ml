@@ -15,6 +15,8 @@ let m_chains = Metrics.counter "search.chains"
 let m_steps = Metrics.counter "search.steps"
 let m_accepts = Metrics.counter "search.accepts"
 let m_restarts = Metrics.counter "search.restarts"
+let m_predict_hits = Metrics.counter "search.predict.hit"
+let m_predict_misses = Metrics.counter "search.predict.miss"
 let m_best_cost = Metrics.gauge "search.best_cost"
 
 type config = { chains : int; iters : int; seed : int }
@@ -82,6 +84,10 @@ let solve_levels ?(config = default_config) ?pool ~models ~input ~budget ?(first
         let best =
           Option.map (fun (sched, _) -> Mcmc.polish ~cost ~first_phase sched) r.Mcmc.best
         in
+        (* Counted per lookup in the chain's own [Cost], published once
+           per chain: an atomic add per lookup would cost more than a hit. *)
+        Metrics.add m_predict_hits (Cost.hits cost);
+        Metrics.add m_predict_misses (Cost.misses cost);
         {
           co_best = best;
           co_steps = r.Mcmc.steps;

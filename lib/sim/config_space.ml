@@ -1,11 +1,17 @@
 module Rng = Opprox_util.Rng
 
+(* [a * b] for [a >= 1], [b >= 1], pinned at [max_int] instead of
+   wrapping: 9^21 would otherwise read as a negative count. *)
+let saturating_mul a b = if a > max_int / b then max_int else a * b
+
 let count abs =
-  Array.fold_left (fun acc (ab : Ab.t) -> acc * (ab.max_level + 1)) 1 abs
+  Array.fold_left (fun acc (ab : Ab.t) -> saturating_mul acc (ab.max_level + 1)) 1 abs
+
+let indexable abs = count abs < max_int
 
 let phase_space_count abs ~n_phases ~n_inputs =
   if n_phases < 1 || n_inputs < 1 then invalid_arg "Config_space.phase_space_count";
-  count abs * n_phases * n_inputs
+  saturating_mul (saturating_mul (count abs) n_phases) n_inputs
 
 let all abs =
   let n = Array.length abs in
@@ -30,6 +36,18 @@ let nth abs k =
     r := !r / radix
   done;
   levels
+
+let index abs levels =
+  let n = Array.length abs in
+  if Array.length levels <> n then invalid_arg "Config_space.index: arity mismatch";
+  let k = ref 0 in
+  for a = 0 to n - 1 do
+    let radix = abs.(a).Ab.max_level + 1 in
+    let l = levels.(a) in
+    if l < 0 || l >= radix then invalid_arg "Config_space.index: level out of range";
+    k := (!k * radix) + l
+  done;
+  !k
 
 let advance abs levels =
   let a = ref (Array.length abs - 1) in

@@ -6,11 +6,18 @@
     exhaustive search. *)
 
 val count : Ab.t array -> int
-(** Size of the full joint configuration space: prod (max_level_i + 1). *)
+(** Size of the full joint configuration space: prod (max_level_i + 1),
+    saturated at [max_int] rather than wrapping (a 21-AB app with nine
+    levels each has 9^21 > 2^62 points). *)
+
+val indexable : Ab.t array -> bool
+(** [count abs < max_int]: every configuration has a distinct {!index}.
+    False exactly when {!count} saturated. *)
 
 val phase_space_count : Ab.t array -> n_phases:int -> n_inputs:int -> int
 (** Search-space size reported in Table 1: joint configurations times
-    phases times input combinations. *)
+    phases times input combinations, saturated at [max_int] like
+    {!count}. *)
 
 val all : Ab.t array -> int array list
 (** Every joint configuration, all-zero vector first, in lexicographic
@@ -20,6 +27,14 @@ val nth : Ab.t array -> int -> int array
 (** [nth abs k] is element [k] of {!all}[ abs] (a fresh array), decoded
     as a mixed-radix number whose last AB is the fastest digit.  Requires
     [0 <= k < count abs]. *)
+
+val index : Ab.t array -> int array -> int
+(** The inverse of {!nth}: the mixed-radix number whose digits are
+    [levels], last AB fastest.  Reads every level, so two configurations
+    that differ in any AB get distinct indices.  Raises
+    [Invalid_argument] on an arity mismatch or a level outside
+    [0..max_level].  Requires {!indexable}[ abs]: on a saturated space
+    the number wraps and distinct configurations may share an index. *)
 
 val advance : Ab.t array -> int array -> unit
 (** Step a configuration in place to its successor in {!all} order.  The

@@ -90,6 +90,36 @@ let flow =
     ~param_names:[| "mode" |] ~abs:flow_abs ~default_input:[| 0.0 |]
     ~training_inputs:flow_inputs ~run:flow_run ~seed:13 ()
 
+(* A 21-AB fixture whose joint space, 9^21, is past [max_int]: the
+   configuration count saturates and the mixed-radix index no longer
+   names configurations uniquely.  Each AB perforates its own short loop
+   over a shared accumulator, so every level matters a little. *)
+let wide_n_abs = 21
+
+let wide_abs =
+  Array.init wide_n_abs (fun i ->
+      Ab.make ~name:(Printf.sprintf "k%02d" i) ~technique:Ab.Perforation ~max_level:8)
+
+let wide_run env input =
+  let acc = ref input.(0) in
+  for _ = 1 to 6 do
+    let iter = Env.begin_outer_iter env in
+    for ab = 0 to wide_n_abs - 1 do
+      Env.enter_ab env ~ab;
+      let level = Env.current_level env ~ab in
+      Approx.perforate ~offset:iter ~level 9 (fun i ->
+          acc := !acc +. (0.001 *. float_of_int (((ab + 1) * (i + 1)) mod 7));
+          Env.charge env ~ab 1)
+    done;
+    Env.charge_base env 8
+  done;
+  [| !acc |]
+
+let wide =
+  App.make ~name:"wide" ~description:"21-AB fixture with a saturated configuration count"
+    ~param_names:[| "x" |] ~abs:wide_abs ~default_input:[| 1.0 |]
+    ~training_inputs:[| [| 1.0 |]; [| 2.0 |] |] ~run:wide_run ~seed:17 ()
+
 (* Shared helpers. *)
 
 let check_float = Alcotest.(check (float 1e-9))

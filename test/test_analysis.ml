@@ -61,6 +61,13 @@ let test_registered_apps_clean () =
     (Opprox_apps.Registry.all ());
   check_clean_strict "registry" (Lint_app.check_registry (Opprox_apps.Registry.all ()))
 
+let test_saturated_space_is_app004 () =
+  (* 9^21 configurations: a wrapped count read negative and skipped the
+     rule; the saturated one is past the enumeration bound. *)
+  let codes = List.map (fun (d : Diagnostic.t) -> d.Diagnostic.code) (Lint_app.check_app wide) in
+  check_bool "APP004 reported" true (List.mem "APP004" codes);
+  check_bool "no APP003" false (List.mem "APP003" codes)
+
 let test_registry_rejects_duplicates () =
   match Opprox_apps.Registry.register Opprox_apps.Kmeans.app with
   | () -> Alcotest.fail "duplicate registration accepted"
@@ -298,6 +305,7 @@ let suite =
         Alcotest.test_case "exit-code policy" `Quick test_exit_code_policy;
         Alcotest.test_case "code registry covers families" `Quick test_codes_registered;
         Alcotest.test_case "registered apps lint clean" `Quick test_registered_apps_clean;
+        Alcotest.test_case "saturated space is APP004" `Quick test_saturated_space_is_app004;
         Alcotest.test_case "registry rejects duplicates" `Quick test_registry_rejects_duplicates;
         Alcotest.test_case "Ab.equal" `Quick test_ab_equal;
         prop_valid_schedule_lints_clean;

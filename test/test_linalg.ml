@@ -330,6 +330,83 @@ let prop_polyfeat_apply_into_bit_identical =
         (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
         out (reference_apply f raw))
 
+(* The dense loop [Polyfeat.apply_into] was before it kept each
+   monomial's non-zero exponents: every exponent of every monomial is
+   tested, zeros skipped.  Kept as the reference the sparse loop must
+   match bit for bit. *)
+let dense_apply_into f raw out =
+  let exponents = Array.of_list (Polyfeat.exponents f) in
+  for m = 0 to Array.length exponents - 1 do
+    let expv = exponents.(m) in
+    let acc = ref 1.0 in
+    for i = 0 to Polyfeat.arity f - 1 do
+      let e = expv.(i) in
+      if e > 0 then begin
+        let p = ref 1.0 and x = ref raw.(i) and n = ref e in
+        while !n > 0 do
+          if !n land 1 = 1 then p := !p *. !x;
+          x := !x *. !x;
+          n := !n lsr 1
+        done;
+        acc := !acc *. !p
+      end
+    done;
+    out.(m) <- !acc
+  done
+
+let same_bits_array a b =
+  Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let prop_polyfeat_sparse_matches_dense =
+  (* Maps from [create] (with and without caps) and from explicit
+     [of_exponents] matrices, whose rows may repeat, skip the constant
+     or be all-zero anywhere. *)
+  let raw_value =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, float_range (-3.0) 3.0);
+          (2, map (fun e -> Float.ldexp 1.3 e) (int_range (-600) 600));
+          (1, oneofl [ 0.0; -0.0; 1.0; -1.0; Float.nan; Float.infinity; Float.neg_infinity ]);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      int_range 1 6 >>= fun arity ->
+      int_range 0 6 >>= fun degree ->
+      int_range 0 2 >>= fun mode ->
+      array_size (return arity) (int_range 0 6) >>= fun caps ->
+      array_size (int_range 1 12) (array_size (return arity) (int_range 0 5)) >>= fun rows ->
+      array_size (return arity) raw_value >|= fun raw ->
+      let f =
+        match mode with
+        | 0 -> Polyfeat.create ~arity ~degree ()
+        | 1 -> Polyfeat.create ~caps ~arity ~degree ()
+        | _ -> Polyfeat.of_exponents rows
+      in
+      (f, raw))
+  in
+  qcheck_case ~count:400 "sparse apply_into bit-identical to the dense loop"
+    (QCheck.make gen) (fun (f, raw) ->
+      let sparse = Array.make (Polyfeat.output_dim f) 0.0 in
+      let dense = Array.make (Polyfeat.output_dim f) 0.0 in
+      Polyfeat.apply_into f raw sparse;
+      dense_apply_into f raw dense;
+      same_bits_array sparse dense)
+
+let test_polyfeat_apply_into_allocation () =
+  let f = Polyfeat.create ~arity:16 ~degree:2 () in
+  let raw = Array.init 16 (fun i -> 0.25 *. float_of_int (i + 1)) in
+  let out = Array.make (Polyfeat.output_dim f) 0.0 in
+  Polyfeat.apply_into f raw out;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Polyfeat.apply_into f raw out
+  done;
+  let words = Gc.minor_words () -. before in
+  (* Only the boxed float [Gc.minor_words] itself returns. *)
+  check_bool (Printf.sprintf "1000 expansions allocate %.0f words (<= 8)" words) true (words <= 8.0)
+
 let suite =
   [
     ( "matrix",
@@ -383,5 +460,7 @@ let suite =
         Alcotest.test_case "design matrix" `Quick test_polyfeat_design_matrix;
         prop_polyfeat_product_structure;
         prop_polyfeat_apply_into_bit_identical;
+        prop_polyfeat_sparse_matches_dense;
+        Alcotest.test_case "apply_into allocation" `Quick test_polyfeat_apply_into_allocation;
       ] );
   ]

@@ -146,6 +146,262 @@ let test_mcmc_polish_fixed_point () =
   check_bool "polish never worsens" true
     (e.Cost.cost <= (snd (Option.get r.Mcmc.best)).Cost.cost +. 1e-12)
 
+(* ------------------------------------------- incremental pricing pins *)
+
+(* Three phases on the toy app, so proposals and swaps leave some rows
+   alone and change others. *)
+let trained3 =
+  lazy (Opprox.train ~config:{ Opprox.default_train_config with n_phases = Some 3 } toy)
+
+let cost3 ?(budget = budget) () =
+  let tr = Lazy.force trained3 in
+  Cost.make ~models:tr.Opprox.models ~input:tr.Opprox.app.App.default_input ~budget
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_eval (a : Cost.eval) (b : Cost.eval) =
+  same_bits a.Cost.cost b.Cost.cost && same_bits a.Cost.speedup b.Cost.speedup
+  && same_bits a.Cost.speedup_lo b.Cost.speedup_lo
+  && same_bits a.Cost.qos_hi b.Cost.qos_hi && a.Cost.feasible = b.Cost.feasible
+
+(* [Cost.eval] as it was before pricing from held predictions: no memo,
+   QoS summed from the last phase down, speedups composed from lists in
+   phase order. *)
+let reference_eval ~predict ~budget sched =
+  let speedups = ref [] and speedups_lo = ref [] and qos = ref 0.0 in
+  for phase = Array.length sched - 1 downto 0 do
+    let p = predict ~phase ~levels:sched.(phase) in
+    speedups := p.Models.speedup :: !speedups;
+    speedups_lo := p.Models.speedup_lo :: !speedups_lo;
+    qos := !qos +. Float.max 0.0 p.Models.qos_hi
+  done;
+  let speedup = Optimizer.compose_speedup !speedups in
+  let speedup_lo = Optimizer.compose_speedup !speedups_lo in
+  let overrun = Float.max 0.0 (!qos -. budget) in
+  {
+    Cost.cost = (-.speedup_lo) +. (Cost.penalty *. overrun);
+    speedup;
+    speedup_lo;
+    qos_hi = !qos;
+    feasible = !qos <= budget +. (1e-6 *. Float.max 1.0 (Float.abs budget));
+  }
+
+let test_incremental_pricing_matches_eval () =
+  (* The chain's bookkeeping: hold the current schedule's per-phase
+     predictions, re-price only the rows a move changed.  After every
+     move the result must equal a fresh cost's full [eval] and the
+     memo-free reference, bit for bit. *)
+  let tr = Lazy.force trained3 in
+  let predict = Models.predictor tr.Opprox.models ~input:tr.Opprox.app.App.default_input in
+  List.iter
+    (fun first_phase ->
+      let c = cost3 () and fresh = cost3 () in
+      let rng = Rng.create (97 + first_phase) in
+      let current = ref (Array.init 3 (fun _ -> Array.make (Array.length toy_abs) 0)) in
+      let preds = Cost.predictions c !current in
+      for step = 1 to 500 do
+        let next = Mutate.apply rng ~abs:toy_abs ~first_phase !current in
+        Array.iteri
+          (fun phase row -> if row <> !current.(phase) then preds.(phase) <- Cost.predict c ~phase ~levels:row)
+          next;
+        current := next;
+        let e = Cost.eval_predictions c preds in
+        if not (same_eval e (Cost.eval fresh next) && same_eval e (reference_eval ~predict ~budget next))
+        then Alcotest.failf "first_phase %d, step %d: incremental eval differs" first_phase step
+      done)
+    [ 0; 1; 2 ]
+
+(* [Mcmc.run] and [Mcmc.polish] as they were before incremental pricing:
+   every proposal and every descent candidate is a fresh schedule priced
+   in full.  Kept as the references the incremental versions must match. *)
+let reference_run ~rng ~cost ~first_phase (config : Mcmc.config) =
+  let copy_sched = Array.map Array.copy in
+  let abs = Cost.abs cost in
+  let n_phases = Cost.n_phases cost in
+  let current = Array.init n_phases (fun _ -> Array.make (Array.length abs) 0) in
+  let current_eval = ref (Cost.eval cost current) in
+  let current = ref current in
+  let best =
+    ref (if !current_eval.Cost.feasible then Some (copy_sched !current, !current_eval) else None)
+  in
+  let temp = ref config.Mcmc.init_temp in
+  let accepts = ref 0 and restarts = ref 0 and stall = ref 0 in
+  for _step = 1 to config.Mcmc.iters do
+    let candidate = Mutate.apply rng ~abs ~first_phase !current in
+    let c_eval = Cost.eval cost candidate in
+    let delta = c_eval.Cost.cost -. !current_eval.Cost.cost in
+    let accept = delta <= 0.0 || Rng.uniform rng < Float.exp (-.delta /. !temp) in
+    if accept then begin
+      current := candidate;
+      current_eval := c_eval;
+      incr accepts
+    end;
+    let improved =
+      c_eval.Cost.feasible
+      && match !best with Some (_, b) -> c_eval.Cost.cost < b.Cost.cost -. 1e-12 | None -> true
+    in
+    if improved then begin
+      best := Some (copy_sched candidate, c_eval);
+      stall := 0
+    end
+    else incr stall;
+    (if config.Mcmc.restart_stall > 0 && !stall >= config.Mcmc.restart_stall then
+       match !best with
+       | Some (b, be) ->
+           current := copy_sched b;
+           current_eval := be;
+           incr restarts;
+           stall := 0
+       | None -> stall := 0);
+    temp := Float.max config.Mcmc.min_temp (!temp *. config.Mcmc.decay)
+  done;
+  (!best, !accepts, !restarts)
+
+let reference_polish ~cost ~first_phase sched =
+  let copy_sched = Array.map Array.copy in
+  let abs = Cost.abs cost in
+  let n_phases = Cost.n_phases cost in
+  let n_abs = Array.length abs in
+  let current = ref (copy_sched sched) in
+  let current_eval = ref (Cost.eval cost !current) in
+  let improved = ref true in
+  let passes = ref 0 in
+  let max_passes = Stdlib.max 16 (4 * n_phases * n_abs * 8) in
+  while !improved && !passes < max_passes do
+    incr passes;
+    improved := false;
+    let best_move = ref None in
+    let consider candidate =
+      let e = Cost.eval cost candidate in
+      if e.Cost.feasible && e.Cost.cost < !current_eval.Cost.cost -. 1e-12 then
+        match !best_move with
+        | Some (_, be) when be.Cost.cost <= e.Cost.cost -> ()
+        | _ -> best_move := Some (candidate, e)
+    in
+    for phase = first_phase to n_phases - 1 do
+      for ab = 0 to n_abs - 1 do
+        List.iter
+          (fun delta ->
+            let l = !current.(phase).(ab) + delta in
+            if l >= 0 && l <= abs.(ab).Ab.max_level then begin
+              let candidate = copy_sched !current in
+              candidate.(phase).(ab) <- l;
+              consider candidate
+            end)
+          [ 1; -1 ]
+      done
+    done;
+    for p = first_phase to n_phases - 2 do
+      for q = p + 1 to n_phases - 1 do
+        if !current.(p) <> !current.(q) then begin
+          let candidate = copy_sched !current in
+          let tmp = candidate.(p) in
+          candidate.(p) <- candidate.(q);
+          candidate.(q) <- tmp;
+          consider candidate
+        end
+      done
+    done;
+    match !best_move with
+    | Some (candidate, e) ->
+        current := candidate;
+        current_eval := e;
+        improved := true
+    | None -> ()
+  done;
+  (!current, !current_eval)
+
+let same_best a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (sa, ea), Some (sb, eb) -> sa = sb && same_eval ea eb
+  | _ -> false
+
+let prop_run_matches_reference =
+  QCheck.(
+    qcheck_case ~count:24 "incremental chain = full re-pricing chain"
+      (triple (int_range 0 10_000) (int_range 0 2) (oneofl [ 2.0; 10.0; 25.0 ])))
+    (fun (seed, first_phase, budget) ->
+      let config = { (Mcmc.default_config ~iters:300) with Mcmc.restart_stall = 40 } in
+      let r = Mcmc.run ~rng:(Rng.create seed) ~cost:(cost3 ~budget ()) ~first_phase config in
+      let best, accepts, restarts =
+        reference_run ~rng:(Rng.create seed) ~cost:(cost3 ~budget ()) ~first_phase config
+      in
+      same_best r.Mcmc.best best && r.Mcmc.accepts = accepts && r.Mcmc.restarts = restarts)
+
+(* A random schedule that is feasible at [budget]: random rows, with
+   cells stepped down towards exact until the schedule fits. *)
+let random_feasible rng c =
+  let sched = Array.init 3 (fun _ -> Opprox_sim.Config_space.random rng toy_abs) in
+  while not (Cost.eval c sched).Cost.feasible do
+    let phase = Rng.int rng 3 and ab = Rng.int rng (Array.length toy_abs) in
+    sched.(phase).(ab) <- Stdlib.max 0 (sched.(phase).(ab) - 1)
+  done;
+  sched
+
+let prop_polish_matches_reference =
+  QCheck.(
+    qcheck_case ~count:60 "in-place polish = copy-based polish"
+      (triple (int_range 0 10_000) (int_range 0 2) (oneofl [ 2.0; 10.0; 25.0 ])))
+    (fun (seed, first_phase, budget) ->
+      let c = cost3 ~budget () in
+      let start = random_feasible (Rng.create seed) c in
+      let snapshot = Array.map Array.copy start in
+      let sched, e = Mcmc.polish ~cost:c ~first_phase start in
+      let ref_sched, ref_e = reference_polish ~cost:(cost3 ~budget ()) ~first_phase start in
+      start = snapshot && sched = ref_sched && same_eval e ref_e)
+
+let test_polish_pass_allocation () =
+  (* From a local optimum polish runs one pass that accepts nothing: it
+     prices every (phase, AB, +-1) step and every swap of unequal rows,
+     all memo hits once a first polish has warmed the memo.  Each
+     candidate then allocates its eval record and nothing else — no
+     schedule copy (a 3 x 2 schedule is 13 words), no key. *)
+  let c = cost3 ~budget:10.0 () in
+  let start = random_feasible (Rng.create 5) c in
+  let opt, e = Mcmc.polish ~cost:c ~first_phase:0 start in
+  ignore (Mcmc.polish ~cost:c ~first_phase:0 opt);
+  let candidates = ref 0 in
+  Array.iter
+    (fun row ->
+      Array.iteri
+        (fun ab l ->
+          let m = toy_abs.(ab).Ab.max_level in
+          if l + 1 <= m then incr candidates;
+          if l - 1 >= 0 then incr candidates)
+        row)
+    opt;
+  for p = 0 to 1 do
+    for q = p + 1 to 2 do
+      if opt.(p) <> opt.(q) then incr candidates
+    done
+  done;
+  (* What pricing one candidate allocates: its eval record with the
+     record's boxed floats, and at most one more boxed float. *)
+  let preds = Cost.predictions c opt in
+  let b0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (Cost.eval_predictions c preds))
+  done;
+  let eval_alloc = (Gc.minor_words () -. b0) /. 100.0 in
+  let eval_words = float_of_int (Obj.reachable_words (Obj.repr e)) in
+  check_bool
+    (Printf.sprintf "an eval allocates %.1f words (record: %.0f)" eval_alloc eval_words)
+    true (eval_alloc <= eval_words +. 2.0);
+  let misses = Cost.misses c in
+  let before = Gc.minor_words () in
+  let again, _ = Mcmc.polish ~cost:c ~first_phase:0 opt in
+  let words = Gc.minor_words () -. before in
+  check_bool "fixed point" true (again = opt);
+  check_int "memo warm: nothing priced" misses (Cost.misses c);
+  (* The slack covers the returned copy, the held predictions and the
+     closures of the one pass; a schedule copy per candidate would add
+     13 words each. *)
+  let bound = (float_of_int !candidates *. eval_alloc) +. 96.0 in
+  check_bool
+    (Printf.sprintf "%d candidates allocate %.0f words (bound %.0f)" !candidates words bound)
+    true (words <= bound)
+
 (* --------------------------------------------------------------- Search *)
 
 let matrix s =
@@ -281,6 +537,11 @@ let with_captured_logs f =
   in
   (result, Buffer.contents buf)
 
+let has_sub s sub =
+  let ls = String.length s and lsub = String.length sub in
+  let rec go i = i + lsub <= ls && (String.sub s i lsub = sub || go (i + 1)) in
+  go 0
+
 let metric_value name =
   match Metrics.find name with Some (Metrics.Counter n) -> n | _ -> 0
 
@@ -295,15 +556,54 @@ let test_optimizer_fallback_visible () =
           ~input:tr.Opprox.app.App.default_input ~budget ())
   in
   check_int "fallback counter bumped" (before + 1) (metric_value "optimizer.fallbacks");
-  check_bool "PLAN010 logged" true
-    (let has_sub s sub =
-       let ls = String.length s and lsub = String.length sub in
-       let rec go i = i + lsub <= ls && (String.sub s i lsub = sub || go (i + 1)) in
-       go 0
-     in
-     has_sub logs "PLAN010" && has_sub logs "warning");
+  check_bool "PLAN010 logged" true (has_sub logs "PLAN010" && has_sub logs "warning");
   (* With opprox.search linked the automatic fallback goes stochastic and
      still produces a lint-clean plan. *)
+  check_bool "plan within budget" true (plan.Optimizer.predicted_qos <= budget +. 1e-6)
+
+(* A 21-AB app's configuration count saturates at [max_int]: the
+   automatic strategy must still see a space past the enumeration limit
+   (Enumerate would ask the staircase for [max_int] points or, with a
+   wrapped count, for none), fall back visibly, and the search's memo
+   must key on every level. *)
+let wide_trained =
+  lazy
+    (Opprox.train
+       ~config:
+         {
+           Opprox.default_train_config with
+           n_phases = Some 2;
+           training = { Opprox.default_train_config.training with joint_samples_per_phase = 4 };
+           (* Linear models without MIC screening or splits: over 22
+              features the full fitting ladder takes a minute, and this
+              test is about the space, not the fit. *)
+           model =
+             {
+               Opprox.default_train_config.model with
+               regression =
+                 {
+                   Opprox.default_train_config.model.regression with
+                   max_degree = 1;
+                   folds = 2;
+                   max_splits = 0;
+                   mic_threshold = None;
+                 };
+             };
+         }
+       wide)
+
+let test_optimizer_saturated_space () =
+  let tr = Lazy.force wide_trained in
+  check_int "count saturates" max_int (Opprox_sim.Config_space.count wide.App.abs);
+  let before = metric_value "optimizer.fallbacks" in
+  let plan, logs =
+    with_captured_logs (fun () ->
+        Optimizer.optimize
+          ~stochastic:{ Optimizer.chains = 2; iters = 150; seed = 3 }
+          ~models:tr.Opprox.models ~roi:tr.Opprox.roi ~input:wide.App.default_input ~budget ())
+  in
+  check_int "fallback counter bumped" (before + 1) (metric_value "optimizer.fallbacks");
+  check_bool "PLAN010 logged" true (has_sub logs "PLAN010");
   check_bool "plan within budget" true (plan.Optimizer.predicted_qos <= budget +. 1e-6)
 
 (* ------------------------------------------------------------ SRCH lint *)
@@ -368,6 +668,10 @@ let suite =
         Alcotest.test_case "deterministic" `Quick test_mcmc_deterministic;
         Alcotest.test_case "best feasible, improving" `Quick test_mcmc_best_feasible_and_improving;
         Alcotest.test_case "polish fixed point" `Quick test_mcmc_polish_fixed_point;
+        Alcotest.test_case "incremental pricing = eval" `Quick test_incremental_pricing_matches_eval;
+        prop_run_matches_reference;
+        prop_polish_matches_reference;
+        Alcotest.test_case "polish pass allocation" `Quick test_polish_pass_allocation;
       ] );
     ( "search-driver",
       [
@@ -383,6 +687,7 @@ let suite =
       [
         Alcotest.test_case "stochastic strategy" `Quick test_optimizer_stochastic_strategy;
         Alcotest.test_case "fallback visible (PLAN010)" `Quick test_optimizer_fallback_visible;
+        Alcotest.test_case "saturated space falls back" `Quick test_optimizer_saturated_space;
       ] );
     ( "search-lint",
       [
