@@ -68,7 +68,3 @@ let add t ~phase ~levels v =
   | Levels { abs; tables } ->
       check_levels abs levels;
       Levels_tbl.replace tables.(phase) (Array.copy levels) v
-
-let length = function
-  | Indexed { tables; _ } -> Array.fold_left (fun acc tbl -> acc + Index_tbl.length tbl) 0 tables
-  | Levels { tables; _ } -> Array.fold_left (fun acc tbl -> acc + Levels_tbl.length tbl) 0 tables

@@ -29,6 +29,3 @@ val find : 'a t -> phase:int -> levels:int array -> 'a
 val add : 'a t -> phase:int -> levels:int array -> 'a -> unit
 (** Store (or replace) the value for [(phase, levels)].  The memo never
     keeps a reference to [levels]. *)
-
-val length : 'a t -> int
-(** Points stored, over all phases. *)

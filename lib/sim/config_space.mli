@@ -12,7 +12,7 @@ val count : Ab.t array -> int
 
 val indexable : Ab.t array -> bool
 (** [count abs < max_int]: every configuration has a distinct {!index}.
-    False exactly when {!count} saturated. *)
+    False when {!count} saturated. *)
 
 val phase_space_count : Ab.t array -> n_phases:int -> n_inputs:int -> int
 (** Search-space size reported in Table 1: joint configurations times
