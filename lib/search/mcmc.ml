@@ -101,9 +101,10 @@ let polish ~cost ~first_phase sched =
   let abs = Cost.abs cost in
   let n_phases = Cost.n_phases cost in
   let n_abs = Array.length abs in
-  (* One private copy, moved in place: a candidate sets one cell (or
-     swaps two phases' predictions), prices the changed phase(s) and
-     restores what it touched, so no candidate copies the schedule. *)
+  (* One private copy, moved in place: a candidate sets one cell, or
+     prices two phases with each other's rows; it re-prices only the
+     phase(s) it touched and restores what it changed, so no candidate
+     copies the schedule. *)
   let current = copy_sched sched in
   let preds = Cost.predictions cost current in
   let current_eval = ref (Cost.eval_predictions cost preds) in

@@ -318,9 +318,8 @@ let same_best a b =
   | _ -> false
 
 let prop_run_matches_reference =
-  QCheck.(
-    qcheck_case ~count:24 "incremental chain = full re-pricing chain"
-      (triple (int_range 0 10_000) (int_range 0 2) (oneofl [ 2.0; 10.0; 25.0 ])))
+  qcheck_case ~count:24 "incremental chain = full re-pricing chain"
+    QCheck.(triple (int_range 0 10_000) (int_range 0 2) (oneofl [ 2.0; 10.0; 25.0 ]))
     (fun (seed, first_phase, budget) ->
       let config = { (Mcmc.default_config ~iters:300) with Mcmc.restart_stall = 40 } in
       let r = Mcmc.run ~rng:(Rng.create seed) ~cost:(cost3 ~budget ()) ~first_phase config in
@@ -340,9 +339,8 @@ let random_feasible rng c =
   sched
 
 let prop_polish_matches_reference =
-  QCheck.(
-    qcheck_case ~count:60 "in-place polish = copy-based polish"
-      (triple (int_range 0 10_000) (int_range 0 2) (oneofl [ 2.0; 10.0; 25.0 ])))
+  qcheck_case ~count:60 "in-place polish = copy-based polish"
+    QCheck.(triple (int_range 0 10_000) (int_range 0 2) (oneofl [ 2.0; 10.0; 25.0 ]))
     (fun (seed, first_phase, budget) ->
       let c = cost3 ~budget () in
       let start = random_feasible (Rng.create seed) c in
