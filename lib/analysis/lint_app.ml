@@ -58,17 +58,18 @@ let check_app (app : App.t) =
             abs))
   in
   let space =
-    (* [count] multiplies (max_level + 1) per AB; a non-positive result
-       means an empty space or an int overflow — either way nothing
-       downstream can enumerate it. *)
+    (* [count] multiplies (max_level + 1) per AB and saturates at
+       [max_int]; a non-positive result means an AB without levels
+       (APP002), so the space is empty. *)
     let count = Config_space.count abs in
     if count < 1 then
       [ D.v ~app:name ~code:"APP003" D.Error "joint configuration space count is %d" count ]
     else if count > enumeration_bound then
       [
         D.v ~app:name ~code:"APP004" D.Info
-          "joint configuration space has %d points (> %d); exhaustive passes are skipped and \
+          "joint configuration space has %s%d points (> %d); exhaustive passes are skipped and \
            plans come from greedy or stochastic search"
+          (if count = max_int then "at least " else "")
           count enumeration_bound;
       ]
     else []

@@ -57,19 +57,12 @@ let stochastic_solver :
 let set_stochastic_solver f = stochastic_solver := Some f
 let stochastic_available () = !stochastic_solver <> None
 
-(* Inlined so the loops below keep their floats unboxed: as calls, each
-   phase boxed its arguments and result. *)
-let[@inline] add_saving acc s = acc +. (1.0 -. (1.0 /. Float.max 0.01 s))
-let[@inline] of_savings savings = 1.0 /. Float.max 0.05 (1.0 -. savings)
-let compose_speedup speedups = of_savings (List.fold_left add_saving 0.0 speedups)
-
-(* The same sum in the same order, without building a list. *)
-let compose_speedup_array speedups =
+let compose_speedup speedups =
   let savings = ref 0.0 in
   for i = 0 to Array.length speedups - 1 do
-    savings := add_saving !savings speedups.(i)
+    savings := !savings +. (1.0 -. (1.0 /. Float.max 0.01 speedups.(i)))
   done;
-  of_savings !savings
+  1.0 /. Float.max 0.05 (1.0 -. !savings)
 
 (* Greedy coordinate ascent: repeatedly take the single-AB level change
    that most improves conservative speedup while staying within budget. *)
@@ -361,7 +354,7 @@ let solver ?search ?(enumeration_limit = 20000) ?(stochastic = default_stochasti
         { phase; levels; predicted; sub_budget = allocated.(phase) })
   in
   let predicted_speedup =
-    compose_speedup (List.map (fun c -> c.predicted.Models.speedup) choices)
+    compose_speedup (Array.of_list (List.map (fun c -> c.predicted.Models.speedup) choices))
   in
   let predicted_qos =
     List.fold_left (fun acc c -> acc +. c.predicted.Models.qos_hi) 0.0 choices
@@ -408,7 +401,7 @@ let plan_of_levels ~models ~input ~budget levels =
         { phase; levels = lv; predicted = p; sub_budget = Float.max 0.0 p.Models.qos_hi })
   in
   let predicted_speedup =
-    compose_speedup (List.map (fun c -> c.predicted.Models.speedup) choices)
+    compose_speedup (Array.of_list (List.map (fun c -> c.predicted.Models.speedup) choices))
   in
   let predicted_qos =
     List.fold_left (fun acc c -> acc +. c.predicted.Models.qos_hi) 0.0 choices

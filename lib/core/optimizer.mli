@@ -168,11 +168,7 @@ val plan_of_sexp : Opprox_util.Sexp.t -> plan
     untrusted: run it through {!lint} (or let {!Opprox.apply} do so)
     before executing it. *)
 
-val compose_speedup : float list -> float
+val compose_speedup : float array -> float
 (** Combine per-phase whole-run speedups: each phase contributes work
     savings [1 - 1/s]; savings add, so the composed speedup is
     [1 / (1 - sum savings)] (capped to keep the result finite). *)
-
-val compose_speedup_array : float array -> float
-(** [compose_speedup (Array.to_list a)], bit for bit (the same sum in the
-    same order), without allocating. *)

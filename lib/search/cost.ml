@@ -55,22 +55,19 @@ let predict t ~phase ~levels =
       Config_memo.add t.memo ~phase ~levels p;
       p
 
-let predictions t sched = Array.init t.n_phases (fun phase -> predict t ~phase ~levels:sched.(phase))
-
 (* The summation order is part of the contract: conservative QoS summed
    from the last phase down, speedups composed in phase order.  Plans
    are pinned byte-for-byte, and a different order moves the last bits. *)
-let eval_predictions t preds =
-  if Array.length preds <> t.n_phases then invalid_arg "Cost.eval_predictions: phase count";
+let eval t sched =
   let qos = ref 0.0 in
   for phase = t.n_phases - 1 downto 0 do
-    let p = preds.(phase) in
+    let p = predict t ~phase ~levels:sched.(phase) in
     t.speedups.(phase) <- p.Models.speedup;
     t.speedups_lo.(phase) <- p.Models.speedup_lo;
     qos := !qos +. Float.max 0.0 p.Models.qos_hi
   done;
-  let speedup = Optimizer.compose_speedup_array t.speedups in
-  let speedup_lo = Optimizer.compose_speedup_array t.speedups_lo in
+  let speedup = Optimizer.compose_speedup t.speedups in
+  let speedup_lo = Optimizer.compose_speedup t.speedups_lo in
   let overrun = Float.max 0.0 (!qos -. t.budget) in
   {
     cost = (-.speedup_lo) +. (penalty *. overrun);
@@ -80,7 +77,6 @@ let eval_predictions t preds =
     feasible = !qos <= t.budget +. feasibility_eps t.budget;
   }
 
-let eval t sched = eval_predictions t (predictions t sched)
 let budget t = t.budget
 let n_phases t = t.n_phases
 let abs t = t.abs

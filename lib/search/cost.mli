@@ -3,14 +3,12 @@
     The chain prices whole schedules through the {e models}, never the
     simulator: one {!t} compiles the models' hoisted prediction pipeline
     ({!Opprox.Models.predictor}) plus a per-phase memo
-    ({!Opprox_sim.Config_memo}) keyed on each configuration's mixed-radix
-    index, which reads every AB's level.  A revisited point costs one int
-    hash and one table probe, and allocates nothing.  The price of a
-    schedule is a function of its per-phase predictions only, so a caller
-    that knows which rows changed re-prices just those ({!predict}) and
-    composes the rest it already holds ({!eval_predictions}).  A [t]
-    wraps mutable scratch and a single-domain predictor — build one per
-    chain, never share one across domains. *)
+    ({!Opprox_sim.Config_memo}) keyed on every AB's level.  A revisited
+    row costs one hash over its levels and one table probe, and
+    allocates nothing, so a proposal that changes one phase's row
+    prices only that row through the models.  A [t] wraps mutable
+    scratch and a single-domain predictor — build one per chain, never
+    share one across domains. *)
 
 type eval = {
   cost : float;
@@ -34,33 +32,21 @@ val penalty : float
 val make : models:Opprox.Models.t -> input:float array -> budget:float -> t
 (** Compile the pricing pipeline for one (models, input, budget). *)
 
-val predict : t -> phase:int -> levels:int array -> Opprox.Models.prediction
-(** The models' prediction for one phase's row, through the memo.  The
-    memo keeps no reference to [levels], so the caller may mutate it
-    afterwards.  Raises [Invalid_argument] on a level outside the AB's
-    range. *)
-
-val predictions : t -> int array array -> Opprox.Models.prediction array
-(** [predict] of every row of a schedule, in phase order. *)
-
-val eval_predictions : t -> Opprox.Models.prediction array -> eval
-(** Price a schedule from its per-phase predictions: conservative QoS
-    summed from the last phase down, speedups composed in phase order
-    ({!Opprox.Optimizer.compose_speedup}).  That order is fixed, so a
-    schedule priced from a mix of held and fresh predictions gets the
-    same bits as {!eval}. *)
-
 val eval : t -> int array array -> eval
-(** Price one [n_phases x n_abs] schedule:
-    [eval_predictions t (predictions t sched)].  Deterministic: equal
-    schedules always yield equal evals. *)
+(** Price one [n_phases x n_abs] schedule: conservative QoS summed from
+    the last phase down, speedups composed in phase order
+    ({!Opprox.Optimizer.compose_speedup}).  Deterministic: equal
+    schedules always yield equal evals.  The memo keeps no reference to
+    [sched], so the caller may mutate it afterwards.  Raises
+    [Invalid_argument] on a level outside an AB's range. *)
 
 val budget : t -> float
 val n_phases : t -> int
 val abs : t -> Opprox_sim.Ab.t array
 
 val hits : t -> int
-(** Lookups {!predict} answered from the memo so far. *)
+(** Per-phase lookups {!eval} answered from the memo so far. *)
 
 val misses : t -> int
-(** Lookups {!predict} had to price (points the memo now holds). *)
+(** Per-phase lookups {!eval} had to price (points the memo now
+    holds). *)

@@ -1,5 +1,6 @@
 module Rng = Opprox_util.Rng
 module Ab = Opprox_sim.Ab
+module Config_space = Opprox_sim.Config_space
 
 type config = {
   iters : int;
@@ -27,23 +28,13 @@ type result = {
 
 let copy_sched = Array.map Array.copy
 
-let rows_equal (a : int array) b =
-  let n = Array.length a in
-  let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
-  n = Array.length b && go 0
-
 let run ~rng ~cost ~first_phase config =
   let abs = Cost.abs cost in
   let n_phases = Cost.n_phases cost in
   (* Schedules are never mutated in place here ({!Mutate} returns fresh
      ones), so [current] and [best] share rows without copies. *)
   let current = ref (Array.init n_phases (fun _ -> Array.make (Array.length abs) 0)) in
-  (* The per-phase predictions of [!current], and scratch for a
-     proposal's: a proposal re-prices only the rows it changed, and the
-     two arrays trade places when it is accepted. *)
-  let current_preds = ref (Cost.predictions cost !current) in
-  let candidate_preds = ref (Array.copy !current_preds) in
-  let current_eval = ref (Cost.eval_predictions cost !current_preds) in
+  let current_eval = ref (Cost.eval cost !current) in
   let best = ref (if !current_eval.Cost.feasible then Some (!current, !current_eval) else None) in
   let temp = ref config.init_temp in
   let accepts = ref 0 in
@@ -51,20 +42,12 @@ let run ~rng ~cost ~first_phase config =
   let stall = ref 0 in
   for _step = 1 to config.iters do
     let candidate = Mutate.apply rng ~abs ~first_phase !current in
-    let held = !current_preds and fresh = !candidate_preds in
-    for phase = 0 to n_phases - 1 do
-      fresh.(phase) <-
-        (if rows_equal candidate.(phase) !current.(phase) then held.(phase)
-         else Cost.predict cost ~phase ~levels:candidate.(phase))
-    done;
-    let c_eval = Cost.eval_predictions cost fresh in
+    let c_eval = Cost.eval cost candidate in
     let delta = c_eval.Cost.cost -. !current_eval.Cost.cost in
     let accept = delta <= 0.0 || Rng.uniform rng < Float.exp (-.delta /. !temp) in
     if accept then begin
       current := candidate;
       current_eval := c_eval;
-      current_preds := fresh;
-      candidate_preds := held;
       incr accepts
     end;
     let improved =
@@ -87,7 +70,6 @@ let run ~rng ~cost ~first_phase config =
        | Some (b, be) ->
            current := b;
            current_eval := be;
-           current_preds := Cost.predictions cost b;
            incr restarts;
            stall := 0
        | None -> stall := 0);
@@ -95,19 +77,16 @@ let run ~rng ~cost ~first_phase config =
   done;
   { best = !best; steps = config.iters; accepts = !accepts; restarts = !restarts }
 
-type move = Step of { phase : int; ab : int; level : int } | Swap of { p : int; q : int }
-
 let polish ~cost ~first_phase sched =
   let abs = Cost.abs cost in
   let n_phases = Cost.n_phases cost in
   let n_abs = Array.length abs in
-  (* One private copy, moved in place: a candidate sets one cell, or
-     prices two phases with each other's rows; it re-prices only the
-     phase(s) it touched and restores what it changed, so no candidate
-     copies the schedule. *)
-  let current = copy_sched sched in
-  let preds = Cost.predictions cost current in
-  let current_eval = ref (Cost.eval_predictions cost preds) in
+  (* One private copy, changed in place: a candidate sets one cell or
+     swaps two rows, is priced (the untouched phases are memo hits) and
+     is undone.  Only a candidate that beats the pass's best so far is
+     copied. *)
+  let current = ref (copy_sched sched) in
+  let current_eval = ref (Cost.eval cost !current) in
   let improved = ref true in
   (* Each accepted move strictly improves a bounded cost over a finite
      space, so this terminates; the pass cap is a safety net only. *)
@@ -117,23 +96,21 @@ let polish ~cost ~first_phase sched =
     incr passes;
     improved := false;
     let best_move = ref None in
-    let better (e : Cost.eval) =
-      e.Cost.feasible
-      && e.Cost.cost < !current_eval.Cost.cost -. 1e-12
-      && match !best_move with Some (_, be) -> not (be.Cost.cost <= e.Cost.cost) | None -> true
+    let consider () =
+      let e = Cost.eval cost !current in
+      if e.Cost.feasible && e.Cost.cost < !current_eval.Cost.cost -. 1e-12 then
+        match !best_move with
+        | Some (_, be) when be.Cost.cost <= e.Cost.cost -> ()
+        | _ -> best_move := Some (copy_sched !current, e)
     in
     let try_step phase ab delta =
-      let row = current.(phase) in
+      let row = !current.(phase) in
       let old = row.(ab) in
-      let level = old + delta in
-      if level >= 0 && level <= abs.(ab).Ab.max_level then begin
-        row.(ab) <- level;
-        let held = preds.(phase) in
-        preds.(phase) <- Cost.predict cost ~phase ~levels:row;
-        row.(ab) <- old;
-        let e = Cost.eval_predictions cost preds in
-        preds.(phase) <- held;
-        if better e then best_move := Some (Step { phase; ab; level }, e)
+      let l = old + delta in
+      if l >= 0 && l <= abs.(ab).Ab.max_level then begin
+        row.(ab) <- l;
+        consider ();
+        row.(ab) <- old
       end
     in
     for phase = first_phase to n_phases - 1 do
@@ -146,33 +123,25 @@ let polish ~cost ~first_phase sched =
        reach: [A|B] and [B|A] are distinct steepest-descent basins under
        single-cell moves, and chains that found either must collapse to
        the same optimum for best-of-chains to be chain-count invariant. *)
+    let swap p q =
+      let tmp = !current.(p) in
+      !current.(p) <- !current.(q);
+      !current.(q) <- tmp
+    in
     for p = first_phase to n_phases - 2 do
       for q = p + 1 to n_phases - 1 do
-        if not (rows_equal current.(p) current.(q)) then begin
-          let held_p = preds.(p) and held_q = preds.(q) in
-          preds.(p) <- Cost.predict cost ~phase:p ~levels:current.(q);
-          preds.(q) <- Cost.predict cost ~phase:q ~levels:current.(p);
-          let e = Cost.eval_predictions cost preds in
-          preds.(p) <- held_p;
-          preds.(q) <- held_q;
-          if better e then best_move := Some (Swap { p; q }, e)
+        if not (Config_space.equal !current.(p) !current.(q)) then begin
+          swap p q;
+          consider ();
+          swap p q
         end
       done
     done;
     match !best_move with
-    | Some (move, e) ->
-        (match move with
-        | Step { phase; ab; level } ->
-            current.(phase).(ab) <- level;
-            preds.(phase) <- Cost.predict cost ~phase ~levels:current.(phase)
-        | Swap { p; q } ->
-            let row = current.(p) in
-            current.(p) <- current.(q);
-            current.(q) <- row;
-            preds.(p) <- Cost.predict cost ~phase:p ~levels:current.(p);
-            preds.(q) <- Cost.predict cost ~phase:q ~levels:current.(q));
+    | Some (candidate, e) ->
+        current := candidate;
         current_eval := e;
         improved := true
     | None -> ()
   done;
-  (current, !current_eval)
+  (!current, !current_eval)

@@ -38,10 +38,9 @@ type result = {
 
 val run :
   rng:Opprox_util.Rng.t -> cost:Cost.t -> first_phase:int -> config -> result
-(** Run one chain.  Phase count / AB ranges come from [cost].  The chain
-    holds its current schedule's per-phase predictions and re-prices
-    only the rows a proposal changed ({!Cost.predict}); every eval is
-    bit-identical to {!Cost.eval} of the whole proposal. *)
+(** Run one chain.  Phase count / AB ranges come from [cost].  Each
+    proposal is priced with {!Cost.eval}, whose memo answers the rows
+    the proposal left alone. *)
 
 val polish :
   cost:Cost.t -> first_phase:int -> int array array -> int array array * Cost.eval
@@ -53,7 +52,6 @@ val polish :
     to the {e same} local optimum — this is what makes best-of-chains
     bit-identical across chain counts once the iteration budget suffices.
     Works in place on one copy of [sched] (which it never modifies): a
-    candidate changes one cell, or prices two phases with each other's
-    rows, re-prices only the phases it touched and is undone, so no
-    candidate copies the schedule.  Requires a feasible starting
-    schedule. *)
+    candidate sets one cell or swaps two rows, is priced and is undone,
+    and only a candidate that beats the pass's best so far is copied.
+    Requires a feasible starting schedule. *)

@@ -1,41 +1,26 @@
 (* SplitMix64's finaliser in native ints (the constants are the 64-bit
    ones cut to fit OCaml's 63).  Neighbouring configurations differ in a
-   few low mixed-radix digits, which [land (size - 1)] alone would crowd
-   into a few buckets. *)
+   few levels, which a plain polynomial would crowd into a few buckets. *)
 let mix k =
   let k = (k lxor (k lsr 30)) * 0x3f58476d1ce4e5b9 in
   let k = (k lxor (k lsr 27)) * 0x14d049bb133111eb in
   k lxor (k lsr 31)
 
-module Index_tbl = Hashtbl.Make (struct
-  type t = int
+let hash (levels : int array) =
+  let h = ref (Array.length levels) in
+  for i = 0 to Array.length levels - 1 do
+    h := (!h * 31) + levels.(i)
+  done;
+  mix !h
 
-  let equal = Int.equal
-  let hash = mix
-end)
-
-(* Saturated spaces only: keyed on a copy of every level. *)
-module Levels_tbl = Hashtbl.Make (struct
+module Tbl = Hashtbl.Make (struct
   type t = int array
 
-  let equal (a : int array) b =
-    let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
-    go 0
-
-  let hash (a : int array) =
-    let h = ref (Array.length a) in
-    for i = 0 to Array.length a - 1 do
-      h := mix (!h + a.(i))
-    done;
-    !h
+  let equal = Config_space.equal
+  let hash = hash
 end)
 
-type 'a t =
-  | Indexed of { abs : Ab.t array; tables : 'a Index_tbl.t array }
-  | Levels of { abs : Ab.t array; tables : 'a Levels_tbl.t array }
+type 'a t = { abs : Ab.t array; tables : 'a Tbl.t array }
 
 (* Small on purpose: a 4096-bucket array is 32 KB, past the minor heap's
    size limit, so every solve or chain that built one allocated it
@@ -44,27 +29,20 @@ let initial_size = 16
 
 let create abs ~n_phases =
   if n_phases < 1 then invalid_arg "Config_memo.create: n_phases must be >= 1";
-  if Config_space.indexable abs then
-    Indexed { abs; tables = Array.init n_phases (fun _ -> Index_tbl.create initial_size) }
-  else Levels { abs; tables = Array.init n_phases (fun _ -> Levels_tbl.create initial_size) }
+  { abs; tables = Array.init n_phases (fun _ -> Tbl.create initial_size) }
 
 let check_levels abs levels =
   if Array.length levels <> Array.length abs then invalid_arg "Config_memo: arity mismatch";
-  Array.iteri
-    (fun a l ->
-      if l < 0 || l > abs.(a).Ab.max_level then invalid_arg "Config_memo: level out of range")
-    levels
+  for a = 0 to Array.length abs - 1 do
+    let l = levels.(a) in
+    if l < 0 || l > abs.(a).Ab.max_level then invalid_arg "Config_memo: level out of range"
+  done
 
-let find t ~phase ~levels =
-  match t with
-  | Indexed { abs; tables } -> Index_tbl.find tables.(phase) (Config_space.index abs levels)
-  | Levels { abs; tables } ->
-      check_levels abs levels;
-      Levels_tbl.find tables.(phase) levels
+(* [add] checks every key it stores, so a malformed one is never found. *)
+let find t ~phase ~levels = Tbl.find t.tables.(phase) levels
 
+(* The copy is taken on a miss only, when the models price the point
+   anyway. *)
 let add t ~phase ~levels v =
-  match t with
-  | Indexed { abs; tables } -> Index_tbl.replace tables.(phase) (Config_space.index abs levels) v
-  | Levels { abs; tables } ->
-      check_levels abs levels;
-      Levels_tbl.replace tables.(phase) (Array.copy levels) v
+  check_levels t.abs levels;
+  Tbl.replace t.tables.(phase) (Array.copy levels) v

@@ -1,13 +1,13 @@
 module Rng = Opprox_util.Rng
 
-(* [a * b] for [a >= 1], [b >= 1], pinned at [max_int] instead of
-   wrapping: 9^21 would otherwise read as a negative count. *)
-let saturating_mul a b = if a > max_int / b then max_int else a * b
+(* [a * b], pinned at [max_int] instead of wrapping when both are
+   positive: 9^21 would otherwise read as a negative count.  A
+   non-positive factor (a malformed AB) passes through, so the product
+   still reads as an empty space. *)
+let saturating_mul a b = if b > 0 && a > max_int / b then max_int else a * b
 
 let count abs =
   Array.fold_left (fun acc (ab : Ab.t) -> saturating_mul acc (ab.max_level + 1)) 1 abs
-
-let indexable abs = count abs < max_int
 
 let phase_space_count abs ~n_phases ~n_inputs =
   if n_phases < 1 || n_inputs < 1 then invalid_arg "Config_space.phase_space_count";
@@ -37,17 +37,15 @@ let nth abs k =
   done;
   levels
 
-let index abs levels =
-  let n = Array.length abs in
-  if Array.length levels <> n then invalid_arg "Config_space.index: arity mismatch";
-  let k = ref 0 in
-  for a = 0 to n - 1 do
-    let radix = abs.(a).Ab.max_level + 1 in
-    let l = levels.(a) in
-    if l < 0 || l >= radix then invalid_arg "Config_space.index: level out of range";
-    k := (!k * radix) + l
+let equal (a : int array) b =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && a.(!i) = b.(!i) do
+    incr i
   done;
-  !k
+  !i = n
 
 let advance abs levels =
   let a = ref (Array.length abs - 1) in

@@ -10,10 +10,6 @@ val count : Ab.t array -> int
     saturated at [max_int] rather than wrapping (a 21-AB app with nine
     levels each has 9^21 > 2^62 points). *)
 
-val indexable : Ab.t array -> bool
-(** [count abs < max_int]: every configuration has a distinct {!index}.
-    False when {!count} saturated. *)
-
 val phase_space_count : Ab.t array -> n_phases:int -> n_inputs:int -> int
 (** Search-space size reported in Table 1: joint configurations times
     phases times input combinations, saturated at [max_int] like
@@ -28,13 +24,9 @@ val nth : Ab.t array -> int -> int array
     as a mixed-radix number whose last AB is the fastest digit.  Requires
     [0 <= k < count abs]. *)
 
-val index : Ab.t array -> int array -> int
-(** The inverse of {!nth}: the mixed-radix number whose digits are
-    [levels], last AB fastest.  Reads every level, so two configurations
-    that differ in any AB get distinct indices.  Raises
-    [Invalid_argument] on an arity mismatch or a level outside
-    [0..max_level].  Requires {!indexable}[ abs]: on a saturated space
-    the number wraps and distinct configurations may share an index. *)
+val equal : int array -> int array -> bool
+(** Level-by-level equality of two configurations, without the
+    polymorphic compare. *)
 
 val advance : Ab.t array -> int array -> unit
 (** Step a configuration in place to its successor in {!all} order.  The

@@ -68,6 +68,19 @@ let test_saturated_space_is_app004 () =
   check_bool "APP004 reported" true (List.mem "APP004" codes);
   check_bool "no APP003" false (List.mem "APP003" codes)
 
+let test_levelless_ab_is_app003 () =
+  (* [Ab.make] refuses [max_level < 1], but [Ab.t] is a plain record: a
+     literal with no levels at all makes the space empty.  The lint must
+     report it rather than raise while counting. *)
+  let abs = [| toy_abs.(0); { (toy_abs.(1)) with Ab.max_level = -1 } |] in
+  let app =
+    App.make ~name:"levelless" ~description:"AB without levels" ~param_names:[| "scale" |] ~abs
+      ~default_input:[| 1.5 |] ~training_inputs:toy_inputs ~run:toy_run ~seed:7 ()
+  in
+  let codes = codes (Lint_app.check_app app) in
+  check_bool "APP002 reported" true (List.mem "APP002" codes);
+  check_bool "APP003 reported" true (List.mem "APP003" codes)
+
 let test_registry_rejects_duplicates () =
   match Opprox_apps.Registry.register Opprox_apps.Kmeans.app with
   | () -> Alcotest.fail "duplicate registration accepted"
@@ -306,6 +319,7 @@ let suite =
         Alcotest.test_case "code registry covers families" `Quick test_codes_registered;
         Alcotest.test_case "registered apps lint clean" `Quick test_registered_apps_clean;
         Alcotest.test_case "saturated space is APP004" `Quick test_saturated_space_is_app004;
+        Alcotest.test_case "levelless AB is APP003" `Quick test_levelless_ab_is_app003;
         Alcotest.test_case "registry rejects duplicates" `Quick test_registry_rejects_duplicates;
         Alcotest.test_case "Ab.equal" `Quick test_ab_equal;
         prop_valid_schedule_lints_clean;

@@ -300,11 +300,11 @@ let test_optimizer_negative_budget () =
         (List.exists (fun (d : Opprox_analysis.Diagnostic.t) -> d.code = "PLAN001") diags)
 
 let test_compose_speedup () =
-  check_float_eps 1e-9 "identity" 1.0 (Optimizer.compose_speedup [ 1.0; 1.0 ]);
+  check_float_eps 1e-9 "identity" 1.0 (Optimizer.compose_speedup [| 1.0; 1.0 |]);
   (* one phase saving half of a quarter of the work: 1/(1-0.5) = 2 *)
-  check_float_eps 1e-9 "single" 2.0 (Optimizer.compose_speedup [ 2.0 ]);
+  check_float_eps 1e-9 "single" 2.0 (Optimizer.compose_speedup [| 2.0 |]);
   check_bool "combination exceeds parts" true
-    (Optimizer.compose_speedup [ 1.2; 1.2 ] > 1.2)
+    (Optimizer.compose_speedup [| 1.2; 1.2 |] > 1.2)
 
 let test_optimizer_schedule_shape () =
   let plan = optimize 10.0 in

@@ -164,10 +164,13 @@ let same_eval (a : Cost.eval) (b : Cost.eval) =
   && same_bits a.Cost.speedup_lo b.Cost.speedup_lo
   && same_bits a.Cost.qos_hi b.Cost.qos_hi && a.Cost.feasible = b.Cost.feasible
 
-(* [Cost.eval] as it was before pricing from held predictions: no memo,
-   QoS summed from the last phase down, speedups composed from lists in
-   phase order. *)
+(* [Cost.eval] as it was before the memo was keyed on every level: no
+   memo, QoS summed from the last phase down, speedups composed from
+   lists in phase order. *)
 let reference_eval ~predict ~budget sched =
+  let compose l =
+    1.0 /. Float.max 0.05 (1.0 -. List.fold_left (fun acc s -> acc +. (1.0 -. (1.0 /. Float.max 0.01 s))) 0.0 l)
+  in
   let speedups = ref [] and speedups_lo = ref [] and qos = ref 0.0 in
   for phase = Array.length sched - 1 downto 0 do
     let p = predict ~phase ~levels:sched.(phase) in
@@ -175,8 +178,8 @@ let reference_eval ~predict ~budget sched =
     speedups_lo := p.Models.speedup_lo :: !speedups_lo;
     qos := !qos +. Float.max 0.0 p.Models.qos_hi
   done;
-  let speedup = Optimizer.compose_speedup !speedups in
-  let speedup_lo = Optimizer.compose_speedup !speedups_lo in
+  let speedup = compose !speedups in
+  let speedup_lo = compose !speedups_lo in
   let overrun = Float.max 0.0 (!qos -. budget) in
   {
     Cost.cost = (-.speedup_lo) +. (Cost.penalty *. overrun);
@@ -186,77 +189,30 @@ let reference_eval ~predict ~budget sched =
     feasible = !qos <= budget +. (1e-6 *. Float.max 1.0 (Float.abs budget));
   }
 
-let test_incremental_pricing_matches_eval () =
-  (* The chain's bookkeeping: hold the current schedule's per-phase
-     predictions, re-price only the rows a move changed.  After every
-     move the result must equal a fresh cost's full [eval] and the
-     memo-free reference, bit for bit. *)
+let test_memo_eval_matches_reference () =
+  (* A chain's walk: every Mutate move, priced by one cost whose memo
+     fills as it goes (most rows are hits), must equal the memo-free
+     reference and a cold cost, bit for bit. *)
   let tr = Lazy.force trained3 in
   let predict = Models.predictor tr.Opprox.models ~input:tr.Opprox.app.App.default_input in
   List.iter
     (fun first_phase ->
-      let c = cost3 () and fresh = cost3 () in
+      let c = cost3 () in
       let rng = Rng.create (97 + first_phase) in
       let current = ref (Array.init 3 (fun _ -> Array.make (Array.length toy_abs) 0)) in
-      let preds = Cost.predictions c !current in
       for step = 1 to 500 do
         let next = Mutate.apply rng ~abs:toy_abs ~first_phase !current in
-        Array.iteri
-          (fun phase row -> if row <> !current.(phase) then preds.(phase) <- Cost.predict c ~phase ~levels:row)
-          next;
         current := next;
-        let e = Cost.eval_predictions c preds in
-        if not (same_eval e (Cost.eval fresh next) && same_eval e (reference_eval ~predict ~budget next))
-        then Alcotest.failf "first_phase %d, step %d: incremental eval differs" first_phase step
-      done)
+        let e = Cost.eval c next in
+        if not (same_eval e (Cost.eval (cost3 ()) next) && same_eval e (reference_eval ~predict ~budget next))
+        then Alcotest.failf "first_phase %d, step %d: memo eval differs" first_phase step
+      done;
+      check_bool "walk revisits rows" true (Cost.hits c > Cost.misses c))
     [ 0; 1; 2 ]
 
-(* [Mcmc.run] and [Mcmc.polish] as they were before incremental pricing:
-   every proposal and every descent candidate is a fresh schedule priced
-   in full.  Kept as the references the incremental versions must match. *)
-let reference_run ~rng ~cost ~first_phase (config : Mcmc.config) =
-  let copy_sched = Array.map Array.copy in
-  let abs = Cost.abs cost in
-  let n_phases = Cost.n_phases cost in
-  let current = Array.init n_phases (fun _ -> Array.make (Array.length abs) 0) in
-  let current_eval = ref (Cost.eval cost current) in
-  let current = ref current in
-  let best =
-    ref (if !current_eval.Cost.feasible then Some (copy_sched !current, !current_eval) else None)
-  in
-  let temp = ref config.Mcmc.init_temp in
-  let accepts = ref 0 and restarts = ref 0 and stall = ref 0 in
-  for _step = 1 to config.Mcmc.iters do
-    let candidate = Mutate.apply rng ~abs ~first_phase !current in
-    let c_eval = Cost.eval cost candidate in
-    let delta = c_eval.Cost.cost -. !current_eval.Cost.cost in
-    let accept = delta <= 0.0 || Rng.uniform rng < Float.exp (-.delta /. !temp) in
-    if accept then begin
-      current := candidate;
-      current_eval := c_eval;
-      incr accepts
-    end;
-    let improved =
-      c_eval.Cost.feasible
-      && match !best with Some (_, b) -> c_eval.Cost.cost < b.Cost.cost -. 1e-12 | None -> true
-    in
-    if improved then begin
-      best := Some (copy_sched candidate, c_eval);
-      stall := 0
-    end
-    else incr stall;
-    (if config.Mcmc.restart_stall > 0 && !stall >= config.Mcmc.restart_stall then
-       match !best with
-       | Some (b, be) ->
-           current := copy_sched b;
-           current_eval := be;
-           incr restarts;
-           stall := 0
-       | None -> stall := 0);
-    temp := Float.max config.Mcmc.min_temp (!temp *. config.Mcmc.decay)
-  done;
-  (!best, !accepts, !restarts)
-
+(* [Mcmc.polish] as it was before it moved in place: every descent
+   candidate is a fresh copy of the schedule.  Kept as the reference the
+   in-place version must match. *)
 let reference_polish ~cost ~first_phase sched =
   let copy_sched = Array.map Array.copy in
   let abs = Cost.abs cost in
@@ -311,23 +267,6 @@ let reference_polish ~cost ~first_phase sched =
   done;
   (!current, !current_eval)
 
-let same_best a b =
-  match (a, b) with
-  | None, None -> true
-  | Some (sa, ea), Some (sb, eb) -> sa = sb && same_eval ea eb
-  | _ -> false
-
-let prop_run_matches_reference =
-  qcheck_case ~count:24 "incremental chain = full re-pricing chain"
-    QCheck.(triple (int_range 0 10_000) (int_range 0 2) (oneofl [ 2.0; 10.0; 25.0 ]))
-    (fun (seed, first_phase, budget) ->
-      let config = { (Mcmc.default_config ~iters:300) with Mcmc.restart_stall = 40 } in
-      let r = Mcmc.run ~rng:(Rng.create seed) ~cost:(cost3 ~budget ()) ~first_phase config in
-      let best, accepts, restarts =
-        reference_run ~rng:(Rng.create seed) ~cost:(cost3 ~budget ()) ~first_phase config
-      in
-      same_best r.Mcmc.best best && r.Mcmc.accepts = accepts && r.Mcmc.restarts = restarts)
-
 (* A random schedule that is feasible at [budget]: random rows, with
    cells stepped down towards exact until the schedule fits. *)
 let random_feasible rng c =
@@ -376,10 +315,9 @@ let test_polish_pass_allocation () =
   done;
   (* What pricing one candidate allocates: its eval record with the
      record's boxed floats, and at most one more boxed float. *)
-  let preds = Cost.predictions c opt in
   let b0 = Gc.minor_words () in
   for _ = 1 to 100 do
-    ignore (Sys.opaque_identity (Cost.eval_predictions c preds))
+    ignore (Sys.opaque_identity (Cost.eval c opt))
   done;
   let eval_alloc = (Gc.minor_words () -. b0) /. 100.0 in
   let eval_words = float_of_int (Obj.reachable_words (Obj.repr e)) in
@@ -392,9 +330,8 @@ let test_polish_pass_allocation () =
   let words = Gc.minor_words () -. before in
   check_bool "fixed point" true (again = opt);
   check_int "memo warm: nothing priced" misses (Cost.misses c);
-  (* The slack covers the returned copy, the held predictions and the
-     closures of the one pass; a schedule copy per candidate would add
-     13 words each. *)
+  (* The slack covers the private copy and the closures of the one
+     pass; a schedule copy per candidate would add 13 words each. *)
   let bound = (float_of_int !candidates *. eval_alloc) +. 96.0 in
   check_bool
     (Printf.sprintf "%d candidates allocate %.0f words (bound %.0f)" !candidates words bound)
@@ -666,8 +603,7 @@ let suite =
         Alcotest.test_case "deterministic" `Quick test_mcmc_deterministic;
         Alcotest.test_case "best feasible, improving" `Quick test_mcmc_best_feasible_and_improving;
         Alcotest.test_case "polish fixed point" `Quick test_mcmc_polish_fixed_point;
-        Alcotest.test_case "incremental pricing = eval" `Quick test_incremental_pricing_matches_eval;
-        prop_run_matches_reference;
+        Alcotest.test_case "memo eval = reference eval" `Quick test_memo_eval_matches_reference;
         prop_polish_matches_reference;
         Alcotest.test_case "polish pass allocation" `Quick test_polish_pass_allocation;
       ] );

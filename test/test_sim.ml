@@ -339,23 +339,9 @@ let test_phase_space_count () =
 let nine_level_abs n =
   Array.init n (fun i -> Ab.make ~name:(Printf.sprintf "ab%d" i) ~technique:Ab.Truncation ~max_level:8)
 
-let prop_index_inverts_nth =
-  let gen =
-    QCheck.Gen.(
-      array_size (int_range 1 8) (int_range 1 8) >>= fun max_levels ->
-      let abs =
-        Array.mapi
-          (fun i m -> Ab.make ~name:(Printf.sprintf "ab%d" i) ~technique:Ab.Perforation ~max_level:m)
-          max_levels
-      in
-      int_bound (Config_space.count abs - 1) >|= fun k -> (abs, k))
-  in
-  qcheck_case ~count:300 "index (nth k) = k" (QCheck.make gen) (fun (abs, k) ->
-      Config_space.index abs (Config_space.nth abs k) = k)
-
-(* The transformer's shape: 13 ABs of nine levels.  A key that stops
-   reading before the last AB merges these pairs. *)
-let prop_index_reads_last_ab =
+(* The transformer's shape: 13 ABs of nine levels.  A hash that stops
+   reading before the last AB files these pairs under one key. *)
+let prop_memo_reads_last_ab =
   let abs = nine_level_abs 13 in
   let gen =
     QCheck.Gen.(
@@ -371,25 +357,26 @@ let prop_index_reads_last_ab =
       let memo = Config_memo.create abs ~n_phases:1 in
       Config_memo.add memo ~phase:0 ~levels:a "a";
       Config_memo.add memo ~phase:0 ~levels:b "b";
-      Config_space.index abs a <> Config_space.index abs b
+      Config_memo.hash a <> Config_memo.hash b
       && Config_memo.find memo ~phase:0 ~levels:a = "a"
       && Config_memo.find memo ~phase:0 ~levels:b = "b")
 
 let test_space_count_saturates () =
   let n19 = nine_level_abs 19 in
   check_int "9^19 exact" 1350851717672992089 (Config_space.count n19);
-  check_bool "9^19 indexable" true (Config_space.indexable n19);
   check_int "9^19 * 4 * 3 saturates" max_int
     (Config_space.phase_space_count n19 ~n_phases:4 ~n_inputs:3);
   check_int "9^21 saturates" max_int (Config_space.count wide_abs);
-  check_bool "9^21 not indexable" false (Config_space.indexable wide_abs);
   check_int "stays saturated" max_int (Config_space.count (Array.append wide_abs wide_abs));
+  (* A malformed AB (no levels) still reads as an empty space. *)
+  let empty = [| { (Ab.make ~name:"x" ~technique:Ab.Perforation ~max_level:1) with max_level = -1 } |] in
+  check_int "zero radix" 0 (Config_space.count (Array.append wide_abs empty));
   Alcotest.check_raises "level out of range"
-    (Invalid_argument "Config_space.index: level out of range") (fun () ->
-      ignore (Config_space.index two_abs [| 0; 4 |]))
+    (Invalid_argument "Config_memo: level out of range") (fun () ->
+      Config_memo.add (Config_memo.create two_abs ~n_phases:1) ~phase:0 ~levels:[| 0; 4 |] ())
 
 let test_memo_saturated_space () =
-  (* Past [max_int] the memo keys on the levels themselves: vectors that
+  (* Past [max_int] the memo still keys on every level: vectors that
      differ only in the last AB stay apart, and the stored key is a copy. *)
   let memo = Config_memo.create wide_abs ~n_phases:2 in
   let a = Array.make wide_n_abs 8 in
@@ -593,8 +580,7 @@ let suite =
         Alcotest.test_case "random nonzero" `Quick test_space_random_nonzero;
         Alcotest.test_case "nth and advance" `Quick test_space_nth_and_advance;
         Alcotest.test_case "phase space count" `Quick test_phase_space_count;
-        prop_index_inverts_nth;
-        prop_index_reads_last_ab;
+        prop_memo_reads_last_ab;
         Alcotest.test_case "count saturates" `Quick test_space_count_saturates;
         Alcotest.test_case "memo on a saturated space" `Quick test_memo_saturated_space;
       ] );
