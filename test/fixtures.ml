@@ -91,8 +91,7 @@ let flow =
     ~training_inputs:flow_inputs ~run:flow_run ~seed:13 ()
 
 (* A 21-AB fixture whose joint space, 9^21, is past [max_int]: the
-   configuration count saturates and the mixed-radix index no longer
-   names configurations uniquely.  Each AB perforates its own short loop
+   configuration count saturates.  Each AB perforates its own short loop
    over a shared accumulator, so every level matters a little. *)
 let wide_n_abs = 21
 
